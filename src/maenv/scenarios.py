@@ -241,6 +241,14 @@ def parse_config_text(text: str, scenario: str | None = None) -> ScenarioConfig:
         if key.endswith("_tol") or key.endswith("_tol_factor"):
             if not val > 0:
                 raise ConfigError(f"field {key!r} must be positive, got {val!r}")
+    if "n" in params:
+        # every torus grid is even and >= 8; viscosity-pipeline also runs at n/2
+        step = 4 if name == "viscosity-pipeline" else 2
+        if params["n"] % step != 0 or params["n"] < 4 * step:
+            raise ConfigError(
+                f"field 'n' must be a multiple of {step} and >= {4 * step} "
+                f"for scenario {name!r}, got {params['n']}"
+            )
     return ScenarioConfig(name, seed, params, out)
 
 

@@ -177,6 +177,19 @@ class TestCliRun:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, n", [("perron", 7), ("perron", 6), ("min-principle", 0), ("viscosity-pipeline", 12)]
+    )
+    def test_invalid_grid_size_exits_two(self, tmp_path, capsys, scenario, n):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"scenario = {scenario}\nn = {n}\n")
+        out = tmp_path / "o"
+        rc = main(["run", scenario, "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'n'" in err
+        assert not out.exists()
+
     def test_seed_override_from_environment(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "qt.cfg"
         cfg_file.write_text(smoke_text("quasi-triangle"))

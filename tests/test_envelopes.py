@@ -19,11 +19,12 @@ from maenv.errors import EmptySupport, NonConvergence
 from maenv.fields import MeasureDensity
 from maenv.obstacle import (
     PenalizationSchedule,
+    _psor_values,
     lower_bound_slack,
     orthogonality_defect,
 )
 
-from oracles import active_set_envelope_1d
+from oracles import active_set_envelope_1d, psor_sweeps_reference
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,16 @@ class TestPsorEnvelope:
         assert exc.value.best.u.values.shape == (grid.n, grid.n)
         assert exc.value.residual > 0
 
+    def test_cascade_stall_still_solves_the_fine_grid(self, grid, theta_one):
+        # the coarse n/2 level stalls first; its iterate only warm-starts the
+        # fine solve, whose error carries an n x n iterate after the fine budget
+        h = kinked_obstacle(grid)
+        with pytest.raises(NonConvergence) as exc:
+            psor_envelope(theta_one, h, tol=1e-14, max_iter=50, cascade=True)
+        assert exc.value.best.u.values.shape == (grid.n, grid.n)
+        assert exc.value.iterations == 50
+        assert exc.value.residual > 0
+
     def test_empty_constraint_mask_rejected(self, grid, theta_one):
         with pytest.raises(EmptySupport):
             psor_envelope(
@@ -121,6 +132,71 @@ class TestPsorEnvelope:
                 constant_field(grid, 0.0),
                 constraint_mask=np.zeros((grid.n, grid.n), bool),
             )
+
+
+def step_obstacle(n):
+    x = np.arange(n) / n
+    band = (x >= 0.25) & (x <= 0.75)
+    return np.where(band[:, None] & (x[None, :] < 0.6), -1.0, 0.0)
+
+
+def smooth_obstacle(n):
+    return kinked_obstacle(TorusGrid(n)).values
+
+
+def cosine_theta(n):
+    x = np.arange(n) / n
+    return 1.0 + 0.8 * np.cos(2 * np.pi * x)[:, None] * np.ones((1, n))
+
+
+class TestPsorSweepMatchesReference:
+    """The quarter-lattice sweep reproduces the whole-grid sweep bit for bit."""
+
+    @staticmethod
+    def assert_identical(theta, hproj, tol=1e-9, max_iter=200_000, omega=None, init=None):
+        if init is None:
+            init = np.full_like(hproj, float(hproj[np.isfinite(hproj)].min()))
+        got = _psor_values(theta, hproj, tol, max_iter, omega, init.copy())
+        want = psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init.copy())
+        u, sweeps, res, history, ok = got
+        assert np.array_equal(u, want[0])
+        assert (sweeps, ok) == (want[1], want[4])
+        assert np.array_equal(np.array(history), np.array(want[3]))
+        assert np.array_equal(res, want[2])
+        return got
+
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    @pytest.mark.parametrize("obstacle", [smooth_obstacle, step_obstacle])
+    def test_obstacles_to_convergence(self, n, obstacle):
+        _, sweeps, _, _, ok = self.assert_identical(cosine_theta(n), obstacle(n))
+        assert ok and sweeps > 8
+
+    def test_constraint_mask(self):
+        n = 64
+        mask = np.ones((n, n), bool)
+        mask[n // 2 - 3 : n // 2 + 3, :] = False
+        mask[:, 5] = False
+        hproj = np.where(mask, smooth_obstacle(n), np.inf)
+        self.assert_identical(cosine_theta(n), hproj)
+
+    def test_explicit_init(self):
+        n = 64
+        x = np.arange(n) / n
+        init = 0.3 * np.sin(2 * np.pi * x)[:, None] * np.cos(4 * np.pi * x)[None, :]
+        self.assert_identical(cosine_theta(n), step_obstacle(n), init=init)
+
+    def test_omega_override(self):
+        n = 64
+        _, _, _, _, ok = self.assert_identical(cosine_theta(n), smooth_obstacle(n), omega=1.5)
+        assert ok
+
+    def test_budget_exhausted_off_the_check_period(self):
+        n = 64
+        _, sweeps, _, history, ok = self.assert_identical(
+            cosine_theta(n), step_obstacle(n), tol=1e-14, max_iter=29
+        )
+        assert not ok and sweeps == 29
+        assert len(history) == 29 // 8 + 2
 
 
 class TestEnvelopeWithPartialConstraint:
