@@ -33,11 +33,10 @@ from .errors import (
 from .torus import (
     GridField,
     MeasureDensity,
-    PshReport,
+    Residual,
     ThetaDensity,
     TorusGrid,
     constant_field,
-    curvature,
     curvature_values,
     field_from_function,
     field_with_curvature,
@@ -47,10 +46,6 @@ from .torus import (
     laplacian_matrix,
     ma_density,
     norms,
-    read_field_binary,
-    read_field_csv,
-    write_field_binary,
-    write_field_csv,
 )
 from .radial import (
     LocalEnvelope,
@@ -81,7 +76,6 @@ from .equations import (
     GlueResult,
     PerronRound,
     PminResult,
-    ResidualReport,
     SupersolutionFamily,
     glue_supersolution,
     perron_solve,
@@ -96,7 +90,6 @@ from .energy import (
     EXACT_CAPACITY_LIMIT,
     CapacityResult,
     QuasiTriangleResult,
-    WeightFunction,
     cap_convergence_metric,
     capacity,
     energy_E,
@@ -108,7 +101,6 @@ from .energy import (
 )
 from .viscosity import (
     PipelineResult,
-    ViscosityReport,
     check_subsolution_visc,
     check_supersolution_visc,
     mass_bound_check,
@@ -119,7 +111,6 @@ from .fields import (
     SupersolutionDatum,
     cosine_field,
     min_two_supersolution,
-    mu_cosine,
     ramp_supersolution,
     random_smooth_field,
     random_theta_psh,
@@ -127,7 +118,6 @@ from .fields import (
     step_band,
     supersolution_corpus,
     theta_cosine,
-    thin_column,
 )
 
 __version__ = "0.1.0"

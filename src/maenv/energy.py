@@ -31,13 +31,11 @@ from .torus import (
     GridField,
     ThetaDensity,
     constant_field,
-    integrate,
     laplacian_matrix,
     ma_density,
 )
 
 __all__ = [
-    "WeightFunction",
     "CapacityResult",
     "QuasiTriangleResult",
     "energy_E",
@@ -50,40 +48,6 @@ __all__ = [
 ]
 
 EXACT_CAPACITY_LIMIT = 64  # largest grid for the exact linear program
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """A convex increasing weight chi: (-inf, 0] -> (-inf, 0] by name.
-
-    Two families are provided: ``identity`` (chi(t) = t) and ``power``
-    (chi(t) = -(-t)^q for 0 < q <= 1).  Documentation-level object: the
-    comparison theorems quoted in the README are certified through the
-    capacity sandwich, not through chi itself.
-    """
-
-    name: str
-    q: float = 1.0
-
-    def __post_init__(self):
-        if self.name not in ("identity", "power"):
-            raise ValueError(f"unknown weight family {self.name!r}")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("power weight needs q in (0, 1]")
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t > 0):
-            raise ValueError("weights are defined on t <= 0")
-        if self.name == "identity":
-            return t
-        return -np.power(-t, self.q)
-
-    def is_convex_increasing_on(self, ts) -> bool:
-        """Sampled invariant check (monotone and convex on the given grid)."""
-        vals = self(np.sort(np.asarray(ts, dtype=float)))
-        d = np.diff(vals)
-        return bool(np.all(d >= -1e-12) and np.all(np.diff(d) >= -1e-10))
 
 
 def extremal_field(theta: ThetaDensity, psor_tol: float = 1e-9) -> GridField:

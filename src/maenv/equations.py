@@ -11,7 +11,8 @@ is strictly monotone).  On top of the solvers this module provides:
   the envelope of the pointwise minimum of two potentials;
 * ``pmin_compose``       -- that envelope itself, with the partition-defect
   field certifying ma(phi) <= 1_{phi=u} ma(u) + 1_{phi=v} ma(v);
-* ``supersolution_check`` / ``subsolution_check`` -- one-sided residuals;
+* ``supersolution_check`` / ``subsolution_check`` -- one-sided residuals of
+  the equation defect;
 * ``perron_solve``       -- the envelope of a family of supersolutions,
   folded two at a time, which descends to the equation's solution;
 * ``glue_supersolution`` -- replacing a supersolution on a sub-region by a
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import SolverReport, newton_semilinear
+from ._newton import newton_semilinear
 from .errors import (
     BoundaryTraceViolation,
     DegenerateData,
@@ -36,13 +37,15 @@ from .obstacle import ObstacleSolution, psor_envelope
 from .torus import (
     GridField,
     MeasureDensity,
+    Residual,
     ThetaDensity,
-    integrate,
+    equation_defect,
     ma_density,
+    neighbor_sum,
+    worst_residual,
 )
 
 __all__ = [
-    "ResidualReport",
     "PminResult",
     "PerronRound",
     "GlueResult",
@@ -229,43 +232,18 @@ def pmin_compose(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ResidualReport:
-    """Signed worst-case residual of a one-sided equation check."""
-
-    passed: bool
-    residual: float
-    worst_site: tuple
-    tol: float
-    side: str
-
-
-def _signed_check(values: np.ndarray, tol: float, side: str) -> ResidualReport:
-    worst = int(values.argmax())
-    residual = float(values.flat[worst])
-    return ResidualReport(
-        residual <= tol,
-        residual,
-        tuple(np.unravel_index(worst, values.shape)),
-        tol,
-        side,
-    )
-
-
 def supersolution_check(
     theta: ThetaDensity, psi: GridField, mu: MeasureDensity, tol: float = 1e-8
-) -> ResidualReport:
-    """max over the grid of ma_density(theta, psi) - e^psi * mu; passes when <= tol."""
-    values = ma_density(theta, psi).values - np.exp(psi.values) * mu.density.values
-    return _signed_check(values, tol, "supersolution")
+) -> Residual:
+    """Worst ma_density(theta, psi) - e^psi * mu over the grid; passes when <= tol."""
+    return worst_residual(equation_defect(theta, psi, mu.density.values), tol)
 
 
 def subsolution_check(
     theta: ThetaDensity, u: GridField, mu: MeasureDensity, tol: float = 1e-8
-) -> ResidualReport:
-    """max over the grid of e^u * mu - ma_density(theta, u); passes when <= tol."""
-    values = np.exp(u.values) * mu.density.values - ma_density(theta, u).values
-    return _signed_check(values, tol, "subsolution")
+) -> Residual:
+    """Worst e^u * mu - ma_density(theta, u) over the grid; passes when <= tol."""
+    return worst_residual(-equation_defect(theta, u, mu.density.values), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +273,7 @@ class SupersolutionFamily:
         report = supersolution_check(self.theta, psi, self.mu, self.residual_tol)
         if not report.passed:
             raise InputNotSupersolution(
-                f"candidate member violates the supersolution bound by {report.residual:.3e}",
+                f"candidate member violates the supersolution bound by {report.value:.3e}",
                 report=report,
             )
         self.members.append(psi)
@@ -325,11 +303,6 @@ class PerronRound:
     equation_residual: float
 
 
-def _equation_residual(theta, phi, mu):
-    values = ma_density(theta, phi).values - np.exp(phi.values) * mu.density.values
-    return float(np.abs(values).max())
-
-
 def perron_solve(
     theta: ThetaDensity,
     mu: MeasureDensity,
@@ -355,7 +328,7 @@ def perron_solve(
     sub = subsolution_check(theta, u0, mu, subsolution_tol)
     if not sub.passed:
         raise NoSubsolution(
-            f"u0 violates the subsolution bound by {sub.residual:.3e}"
+            f"u0 violates the subsolution bound by {sub.value:.3e}"
         )
     if len(family) == 0 and family.draw() is None:
         raise ValueError("family has no members and the generator is spent")
@@ -377,8 +350,9 @@ def perron_solve(
             folded = pmin_compose(theta, current, psi, psor_tol=psor_tol).phi
             gap = float(np.abs(folded.values - current.values).max())
             current = folded
-        res_super = supersolution_check(theta, current, mu, equation_tol).residual
-        res_eq = _equation_residual(theta, current, mu)
+        defect = equation_defect(theta, current, mu.density.values)
+        res_super = float(defect.max())
+        res_eq = float(np.abs(defect).max())
         history.append(PerronRound(k, k, gap, res_super, res_eq))
         k += 1
         if res_eq <= equation_tol:
@@ -399,7 +373,7 @@ def perron_solve(
 class GlueResult:
     envelope: GridField
     spliced: GridField
-    check: ResidualReport
+    check: Residual
     ring_min: float
 
 
@@ -428,13 +402,7 @@ def glue_supersolution(
     if not mask.any():
         raise ValueError("region mask selects no sites")
 
-    outside = ~mask
-    ring = mask & (
-        np.roll(outside, 1, 0)
-        | np.roll(outside, -1, 0)
-        | np.roll(outside, 1, 1)
-        | np.roll(outside, -1, 1)
-    )
+    ring = mask & (neighbor_sum((~mask).astype(float)) > 0)
     if ring.any():
         ring_min = float((v_local.values - u_global.values)[ring].min())
         if ring_min < -trace_tol:

@@ -26,15 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import GridField, MeasureDensity, ThetaDensity, TorusGrid, curvature_values
+from .torus import GridField, ThetaDensity, TorusGrid, curvature_values
 
 __all__ = [
     "SupersolutionDatum",
     "cosine_field",
     "theta_cosine",
-    "mu_cosine",
     "step_band",
-    "thin_column",
     "random_smooth_field",
     "random_theta_psh",
     "smooth_supersolution",
@@ -73,16 +71,6 @@ def theta_cosine(
     )
 
 
-def mu_cosine(
-    grid: TorusGrid, base: float = 1.0, amplitude: float = 0.0, kx: int = 1, ky: int = 0
-) -> MeasureDensity:
-    """Nonnegative cosine-perturbed density (requires |amplitude| <= base)."""
-    x, y = grid.coords()
-    return MeasureDensity(
-        GridField(grid, base + amplitude * np.cos(2.0 * np.pi * (kx * x + ky * y)))
-    )
-
-
 def step_band(grid: TorusGrid, x0: float, x1: float, depth: float = -1.0):
     """Two-valued obstacle on a band in x: (true values, lsc sampling).
 
@@ -99,20 +87,6 @@ def step_band(grid: TorusGrid, x0: float, x1: float, depth: float = -1.0):
     true_vals = np.where(open_band, depth, 0.0)
     lsc_vals = np.where(closed_band, depth, 0.0)
     return GridField(grid, true_vals), GridField(grid, lsc_vals)
-
-
-def thin_column(grid: TorusGrid, x0: float = 0.5, depth: float = -1.0):
-    """Obstacle lowered on a single grid column: the zero-area analog.
-
-    Returns ``(field, mask)`` where the mask marks the column.  A density
-    that vanishes exactly there gives no weight to the constraint, which is
-    how a non-trivial set of Lebesgue measure zero is modelled on the grid.
-    """
-    x, _ = grid.coords()
-    k = int(round(x0 * grid.n)) % grid.n
-    mask = np.zeros((grid.n, grid.n), dtype=bool)
-    mask[k, :] = True
-    return GridField(grid, np.where(mask, depth, 0.0)), mask
 
 
 def random_smooth_field(

@@ -39,6 +39,7 @@ from .torus import (
     TorusGrid,
     curvature_values,
     ma_density,
+    neighbor_sum,
 )
 
 __all__ = [
@@ -64,15 +65,6 @@ class ObstacleSolution:
     complementarity_defect: float
     report: SolverReport
     contact_tol: float
-
-
-def _neighbor_sum(u: np.ndarray) -> np.ndarray:
-    return (
-        np.roll(u, 1, axis=0)
-        + np.roll(u, -1, axis=0)
-        + np.roll(u, 1, axis=1)
-        + np.roll(u, -1, axis=1)
-    )
 
 
 def _natural_residual(u, hproj, theta, h):
@@ -303,7 +295,7 @@ def penalized_step(
     th = theta.density.values
     if init is None:
         u0 = np.minimum(v.values, 0.0)
-        u0 = 0.25 * (_neighbor_sum(u0) + 2.0 * np.pi * grid.h**2 * th)
+        u0 = 0.25 * (neighbor_sum(u0) + 2.0 * np.pi * grid.h**2 * th)
     else:
         u0 = init.values
     phi, report = newton_semilinear(

@@ -21,7 +21,7 @@ the plain function values; ops that need both accept them separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import median_filter
@@ -336,13 +336,6 @@ def ball_step_obstacle(axis: TAxis) -> tuple:
     h = np.where(ts < 0.0, -1.0, 0.0)
     h_lsc = np.where(ts <= 0.0, -1.0, 0.0)
     return h, h_lsc
-
-
-def profile_to_csv(profile: RadialProfile) -> str:
-    rows = ["t,value"]
-    for t, v in zip(profile.axis.ts, profile.values):
-        rows.append(f"{t:.17g},{v:.17g}")
-    return "\n".join(rows) + "\n"
 
 
 def measure_to_csv(measure: SlopeMeasure) -> str:

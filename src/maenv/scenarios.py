@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .equations import (
     pmin_compose,
     solve_ma_exponential,
 )
-from .errors import ConfigError, ScenarioFailure
+from .errors import ConfigError, MaenvError, ScenarioFailure
 from .fields import (
     random_smooth_field,
     random_theta_psh,
@@ -180,6 +180,10 @@ class ScenarioConfig:
             lines.append(f"{key} = {val}")
         return "\n".join(lines) + "\n"
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take nonnegative seeds only
+            raise ConfigError(f"field 'seed' must be >= 0, got {self.seed}")
+
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return ScenarioConfig(self.scenario, int(seed), self.params, self.out)
 
@@ -237,19 +241,46 @@ def parse_config_text(text: str, scenario: str | None = None) -> ScenarioConfig:
         if key not in schema:
             raise ConfigError(f"field {key!r} is not valid for scenario {name!r}")
         params[key] = _coerce(key, raw, schema[key][0])
+    _check_ranges(name, params)
+    return ScenarioConfig(name, seed, params, out)
+
+
+# lower bounds the library enforces when a scenario builds its objects
+# (TAxis needs 64 samples, PenalizationSchedule at least one strength) or
+# that keep a scenario's aggregates nonempty
+_AT_LEAST = {"m": 64, "j_max_log2": 0, "pairs": 1, "triples": 1}
+_POSITIVE = {"cap_eps", "theta_base", "p_values", "t_values"}
+
+
+def _check_ranges(name: str, params: dict) -> None:
+    """Reject, naming the field, every value a scenario's constructors would reject."""
+
+    def require(ok, key, what):
+        if not ok:
+            raise ConfigError(f"field {key!r} must be {what}, got {params[key]!r}")
+
     for key, val in params.items():
-        if key.endswith("_tol") or key.endswith("_tol_factor"):
-            if not val > 0:
-                raise ConfigError(f"field {key!r} must be positive, got {val!r}")
+        if key in _POSITIVE or key.endswith("_tol") or key.endswith("_tol_factor"):
+            require(all(x > 0 for x in np.atleast_1d(val)), key, "positive")
+        if key in _AT_LEAST:
+            require(val >= _AT_LEAST[key], key, f">= {_AT_LEAST[key]}")
     if "n" in params:
         # every torus grid is even and >= 8; viscosity-pipeline also runs at n/2
         step = 4 if name == "viscosity-pipeline" else 2
-        if params["n"] % step != 0 or params["n"] < 4 * step:
-            raise ConfigError(
-                f"field 'n' must be a multiple of {step} and >= {4 * step} "
-                f"for scenario {name!r}, got {params['n']}"
-            )
-    return ScenarioConfig(name, seed, params, out)
+        require(
+            params["n"] % step == 0 and params["n"] >= 4 * step,
+            "n",
+            f"a multiple of {step} and >= {4 * step} for scenario {name!r}",
+        )
+    if "dims" in params:
+        require(all(d >= 1 and d.is_integer() for d in params["dims"]), "dims", "positive integers")
+    if "t_min" in params:
+        require(params["t_min"] < 0, "t_min", "negative")
+        require(params["t_max"] > 0, "t_max", "positive")
+    if "obstacle_x0" in params:
+        x0, x1 = params["obstacle_x0"], params["obstacle_x1"]
+        require(0 <= x0 < x1, "obstacle_x0", "in [0, obstacle_x1)")
+        require(x1 <= 1, "obstacle_x1", "<= 1")
 
 
 def read_config(path, scenario: str | None = None) -> ScenarioConfig:
@@ -564,8 +595,8 @@ def _scn_viscosity_pipeline(p, seed, rec):
             )
             rec.add(f"pipeline[{datum.name},n={n}]", res.solution.report)
             rows.append(
-                (datum.name, float(n), datum.gate_tol, res.input_report.worst_margin,
-                 res.input_report.checked_fraction, res.residual)
+                (datum.name, float(n), datum.gate_tol, -res.input_report.value,
+                 res.checked_fraction, res.residual)
             )
             residuals.setdefault(datum.name, {})[n] = res.residual
     tol = p["residual_tol_factor"] * vol
@@ -696,24 +727,24 @@ def _scn_mass_bound(p, seed, rec):
     found = 0
     for _ in range(p["seeds"]):
         v = random_smooth_field(grid, rng, modes=3, amplitude=float(rng.uniform(0.05, 2.0)))
-        rep = check_supersolution_visc(theta, v, f_half, tol=p["visc_tol"], exponential=False)
+        rep, _ = check_supersolution_visc(theta, v, f_half, tol=p["visc_tol"], exponential=False)
         found += rep.passed
     x, _ = grid.coords()
     f_big = GridField(grid, 2.0 + 0.5 * np.cos(2.0 * np.pi * x))
     sol, rep = solve_ma_exponential(theta, MeasureDensity(f_big))
     rec.add("constructed_supersolution", rep)
-    gate = check_supersolution_visc(theta, sol, f_big, tol=1e-5)
+    gate, _ = check_supersolution_visc(theta, sol, f_big, tol=1e-5)
     checks = [
         Check("below_volume_is_infeasible", not mass_bound_check(theta, f_half), 0.5, 1.0),
         Check("search_finds_no_supersolution", found == 0, float(found), 0.0),
         Check("at_volume_is_feasible", mass_bound_check(theta, f_big), 2.0, 1.0),
-        Check("constructed_field_passes", gate.passed, gate.worst_margin, -1e-5),
+        Check("constructed_field_passes", gate.passed, -gate.value, -1e-5),
     ]
     payload = {
         "seed": seed,
         "seeds": p["seeds"],
         "passing_fields_found": found,
-        "constructed_margin": gate.worst_margin,
+        "constructed_margin": -gate.value,
     }
     files = {"mass_bound.json": json.dumps(payload, indent=2, sort_keys=True) + "\n"}
     return checks, files
@@ -744,6 +775,9 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunManifest:
 
     Raises :class:`ScenarioFailure` when a check fails; the manifest and all
     artifacts are written first, so a failing run remains fully inspectable.
+    A solver error inside the scenario becomes a failed ``solver_converged``
+    check whose value is the error's residual (-1 when it carries none) and
+    whose manifest lists no artifacts.
     """
     if out_dir is None:
         out_dir = config.out
@@ -753,7 +787,16 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
 
     rec = _Recorder()
-    checks, files = _RUNNERS[config.scenario](config.params, config.seed, rec)
+    error = None
+    try:
+        checks, files = _RUNNERS[config.scenario](config.params, config.seed, rec)
+    except ConfigError:
+        raise
+    except MaenvError as exc:
+        error = exc
+        residual = getattr(exc, "residual", None)
+        value = float(residual) if residual is not None and np.isfinite(residual) else -1.0
+        checks, files = [Check("solver_converged", False, value, 0.0)], {}
 
     hashes = {}
     for name, content in sorted(files.items()):
@@ -773,10 +816,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunManifest:
     (out / "manifest.json").write_text(manifest.to_json())
     if not manifest.passed:
         failed = [c.name for c in checks if not c.passed]
+        cause = f"{type(error).__name__}: {error}; " if error is not None else ""
         raise ScenarioFailure(
             f"scenario {config.scenario!r}: checks failed: {', '.join(failed)} "
-            f"(manifest written to {out / 'manifest.json'})"
-        )
+            f"({cause}manifest written to {out / 'manifest.json'})"
+        ) from error
     return manifest
 
 

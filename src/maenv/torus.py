@@ -11,20 +11,18 @@ normalization is
 so that ``integrate(ma_density(theta, u)) == V`` identically (the discrete
 Laplacian sums to zero over the torus).  A field is theta-plurisubharmonic
 (theta-psh) when its ma_density is nonnegative.
+
+Every one-sided check reports a :class:`Residual`: the worst value of a
+signed defect array, positive where the inequality is violated.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-
-from .errors import MaenvError
-
-_MAGIC = b"MAENV1"
 
 
 @dataclass(frozen=True)
@@ -137,54 +135,59 @@ class MeasureDensity:
         return integrate(self.density)
 
 
-def _laplacian(values: np.ndarray, h: float) -> np.ndarray:
+def neighbor_sum(values: np.ndarray) -> np.ndarray:
+    """Sum of the four periodic neighbours, in the order i-1, i+1, j-1, j+1."""
     return (
         np.roll(values, 1, axis=0)
         + np.roll(values, -1, axis=0)
         + np.roll(values, 1, axis=1)
         + np.roll(values, -1, axis=1)
-        - 4.0 * values
-    ) / (h * h)
-
-
-def curvature(u: GridField) -> GridField:
-    """Five-point periodic Laplacian of u divided by 2*pi."""
-    return GridField(u.grid, _laplacian(u.values, u.grid.h) / (2.0 * np.pi))
+    )
 
 
 def curvature_values(values: np.ndarray, h: float) -> np.ndarray:
-    """Array-level curvature used by the solvers' inner loops."""
-    return _laplacian(values, h) / (2.0 * np.pi)
+    """Five-point periodic Laplacian of the array divided by 2*pi."""
+    return (neighbor_sum(values) - 4.0 * values) / (h * h) / (2.0 * np.pi)
 
 
 def ma_density(theta: ThetaDensity, u: GridField) -> GridField:
     """Density of the twisted Monge-Ampere operator, theta + curvature(u)."""
     if theta.grid.n != u.grid.n:
         raise ValueError("theta and u live on different grids")
-    return GridField(u.grid, theta.density.values + curvature(u).values)
+    return GridField(u.grid, theta.density.values + curvature_values(u.values, u.grid.h))
+
+
+def equation_defect(theta: ThetaDensity, phi: GridField, rho: np.ndarray) -> np.ndarray:
+    """ma_density(theta, phi) - e^phi * rho: the exponential equation's defect."""
+    return ma_density(theta, phi).values - np.exp(phi.values) * rho
 
 
 @dataclass(frozen=True)
-class PshReport:
-    """Outcome of a pointwise positivity check of ma_density."""
+class Residual:
+    """Worst value of a signed defect and where it sits; positive is violated."""
 
-    passed: bool
-    min_value: float
-    argmin: tuple
+    value: float
+    site: tuple
     tol: float
 
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tol
 
-def is_theta_psh(theta: ThetaDensity, u: GridField, tol: float = 1e-10):
+
+def worst_residual(defect: np.ndarray, tol: float) -> Residual:
+    """The largest entry of ``defect`` (first site on ties), judged against tol."""
+    k = int(np.argmax(defect))
+    site = tuple(int(i) for i in np.unravel_index(k, defect.shape))
+    return Residual(float(defect.flat[k]), site, tol)
+
+
+def is_theta_psh(theta: ThetaDensity, u: GridField, tol: float = 1e-10) -> Residual:
     """Check ``ma_density(theta, u) >= -tol`` at every node.
 
-    Returns ``(passed, report)`` where the report records the minimum of the
-    density and the node where it is attained.
+    The residual's value is minus the smallest density, at its site.
     """
-    m = ma_density(theta, u).values
-    k = int(np.argmin(m))
-    ij = (k // u.grid.n, k % u.grid.n)
-    mn = float(m[ij])
-    return mn >= -tol, PshReport(mn >= -tol, mn, ij, tol)
+    return worst_residual(-ma_density(theta, u).values, tol)
 
 
 def integrate(u: GridField) -> float:
@@ -238,7 +241,8 @@ def laplacian_matrix(n: int) -> sp.csc_matrix:
     """Sparse matrix of the five-point periodic Laplacian scaled by 1/h^2.
 
     Acts on row-major flattened (N*N,) vectors; ``laplacian_matrix(n) @ u.ravel()``
-    equals ``_laplacian(u, h).ravel()``.
+    equals ``(2*pi * curvature_values(u, h)).ravel()`` up to rounding.  The
+    Newton solves and the exact capacity program need the assembled matrix.
     """
     h2 = (1.0 / n) ** 2
     ones = np.ones(n)
@@ -267,46 +271,3 @@ def field_with_curvature(grid: TorusGrid, target: GridField) -> GridField:
     u_hat[0, 0] = 0.0
     u = np.real(np.fft.ifft2(u_hat))
     return GridField(grid, u - u.mean())
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def field_to_csv(u: GridField) -> str:
-    """Row-major CSV serialization with full float64 round-trip precision."""
-    lines = [",".join(format(x, ".17g") for x in row) for row in u.values]
-    return "\n".join(lines) + "\n"
-
-
-def write_field_csv(path, u: GridField) -> None:
-    with open(path, "w") as f:
-        f.write(field_to_csv(u))
-
-
-def read_field_csv(path) -> GridField:
-    arr = np.atleast_2d(np.loadtxt(path, delimiter=","))
-    if arr.shape[0] != arr.shape[1]:
-        raise MaenvError(f"CSV field is not square: shape {arr.shape}")
-    return GridField(TorusGrid(arr.shape[0]), arr)
-
-
-def write_field_binary(path, u: GridField) -> None:
-    """Binary format: magic 'MAENV1', little-endian uint32 N, N*N float64."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", u.grid.n))
-        f.write(u.values.astype("<f8").tobytes(order="C"))
-
-
-def read_field_binary(path) -> GridField:
-    with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise MaenvError(f"bad magic {magic!r}; expected {_MAGIC!r}")
-        (n,) = struct.unpack("<I", f.read(4))
-        data = np.frombuffer(f.read(8 * n * n), dtype="<f8")
-        if data.size != n * n:
-            raise MaenvError("truncated binary field")
-    return GridField(TorusGrid(n), data.reshape(n, n).astype(np.float64))

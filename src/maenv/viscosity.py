@@ -27,15 +27,17 @@ from .errors import InputNotSupersolution
 from .obstacle import ObstacleSolution, psor_envelope
 from .torus import (
     GridField,
+    Residual,
     ThetaDensity,
-    curvature,
+    equation_defect,
     inf_convolution,
     integrate,
     is_theta_psh,
+    ma_density,
+    worst_residual,
 )
 
 __all__ = [
-    "ViscosityReport",
     "PipelineResult",
     "check_supersolution_visc",
     "check_subsolution_visc",
@@ -43,16 +45,6 @@ __all__ = [
     "mass_bound_check",
     "refined_semicontinuity_check",
 ]
-
-
-@dataclass
-class ViscosityReport:
-    passed: bool
-    worst_site: tuple
-    worst_margin: float
-    checked_fraction: float
-    j_ic: float | None
-    tol: float
 
 
 def _validate_weight(f: GridField):
@@ -67,14 +59,14 @@ def check_supersolution_visc(
     tol: float = 1e-8,
     j_ic: float | None = None,
     exponential: bool = True,
-) -> ViscosityReport:
+) -> tuple[Residual, float]:
     """Test (theta + curvature(v))_+ <= e^v f + tol at every site.
 
     The field is first inf-convolved at strength ``j_ic`` (default: one
-    smoothing length per cell, j_ic = N); margins are evaluated on the
-    regularized field everywhere, and ``checked_fraction`` reports where the
-    regularization was inactive.  With ``exponential=False`` the right-hand
-    side is f alone.
+    smoothing length per cell, j_ic = N) and the defect is evaluated on the
+    regularized field everywhere.  Returns ``(residual, checked_fraction)``,
+    the fraction being the share of sites where the regularization was
+    inactive.  With ``exponential=False`` the right-hand side is f alone.
     """
     _validate_weight(f)
     if tol < 0:
@@ -85,19 +77,9 @@ def check_supersolution_visc(
     v_reg = inf_convolution(v, j_ic)
     scale = 1.0 + float(np.abs(v.values).max())
     inactive = v_reg.values >= v.values - 1e-12 * scale
-    lhs = np.maximum(theta.density.values + curvature(v_reg).values, 0.0)
+    lhs = np.maximum(ma_density(theta, v_reg).values, 0.0)
     rhs = f.values * (np.exp(v_reg.values) if exponential else 1.0)
-    margin = rhs - lhs
-    worst = int(margin.argmin())
-    worst_margin = float(margin.flat[worst])
-    return ViscosityReport(
-        worst_margin >= -tol,
-        tuple(np.unravel_index(worst, margin.shape)),
-        worst_margin,
-        float(inactive.mean()),
-        j_ic,
-        tol,
-    )
+    return worst_residual(lhs - rhs, tol), float(inactive.mean())
 
 
 def check_subsolution_visc(
@@ -107,39 +89,28 @@ def check_subsolution_visc(
     tol: float = 1e-8,
     psh_tol: float = 1e-8,
     exponential: bool = True,
-) -> ViscosityReport:
+) -> Residual:
     """Test theta + curvature(u) >= e^u f - tol, gated on u being theta-psh.
 
     Subsolutions of the degenerate equation are admissible potentials by
     definition, so a field failing the admissibility check fails here no
-    matter how the inequality comes out.
+    matter how the inequality comes out: the admissibility residual (at
+    ``psh_tol``) is returned instead.
     """
     _validate_weight(f)
-    ok, psh_report = is_theta_psh(theta, u, psh_tol)
-    lhs = theta.density.values + curvature(u).values
+    psh = is_theta_psh(theta, u, psh_tol)
+    if not psh.passed:
+        return psh
     rhs = f.values * (np.exp(u.values) if exponential else 1.0)
-    margin = lhs - rhs
-    worst = int(margin.argmin())
-    worst_margin = float(margin.flat[worst])
-    if not ok:
-        return ViscosityReport(
-            False, psh_report.argmin, psh_report.min_value, 1.0, None, tol
-        )
-    return ViscosityReport(
-        worst_margin >= -tol,
-        tuple(np.unravel_index(worst, margin.shape)),
-        worst_margin,
-        1.0,
-        None,
-        tol,
-    )
+    return worst_residual(rhs - ma_density(theta, u).values, tol)
 
 
 @dataclass
 class PipelineResult:
     envelope: GridField
     residual: float
-    input_report: ViscosityReport
+    input_report: Residual
+    checked_fraction: float
     solution: ObstacleSolution
 
 
@@ -160,21 +131,18 @@ def supersolution_envelope_pipeline(
 
     which the structural theorem drives to zero with the grid.
     """
-    report = check_supersolution_visc(theta, v, f, tol=visc_tol, j_ic=j_ic)
+    report, checked_fraction = check_supersolution_visc(
+        theta, v, f, tol=visc_tol, j_ic=j_ic
+    )
     if not report.passed:
         raise InputNotSupersolution(
-            f"input violates the viscosity bound by {-report.worst_margin:.3e} "
-            f"at site {report.worst_site}",
+            f"input violates the viscosity bound by {report.value:.3e} "
+            f"at site {report.site}",
             report=report,
         )
     sol = psor_envelope(theta, v, tol=psor_tol)
-    env = sol.u
-    residual_field = (
-        theta.density.values
-        + curvature(env).values
-        - np.exp(env.values) * f.values
-    )
-    return PipelineResult(env, float(residual_field.max()), report, sol)
+    residual = float(equation_defect(theta, sol.u, f.values).max())
+    return PipelineResult(sol.u, residual, report, checked_fraction, sol)
 
 
 def mass_bound_check(theta: ThetaDensity, f: GridField, tol: float = 1e-12) -> bool:

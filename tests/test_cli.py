@@ -52,6 +52,11 @@ FAILING_CFG = (
     "scenario = orthogonality\nseed = 5\nn = 32\ncount = 1\nstep_floor_factor = 0.9\n"
 )
 
+# an unreachable Newton tolerance: damped Newton stalls inside the scenario
+STALLING_CFG = (
+    "scenario = penalized-convergence\nn = 16\nj_max_log2 = 2\nnewton_tol = 1e-300\n"
+)
+
 
 def smoke_text(name):
     return f"scenario = {name}\n" + SMOKE[name]
@@ -92,6 +97,22 @@ class TestConfigParsing:
             ("scenario = perron\ngap_tol = 0\n", "gap_tol"),
             ("scenario = perron\nbroken line\n", "key = value"),
             ("scenario = perron\nn =\n", "empty"),
+            ("scenario = radial-ball\nt_min = 5\n", "t_min"),
+            ("scenario = radial-ball\nt_max = -5\n", "t_max"),
+            ("scenario = radial-ball\nm = 1\n", "'m'"),
+            ("scenario = local-envelopes\nm = 8\n", "'m'"),
+            ("scenario = radial-ball\ndims = 0\n", "dims"),
+            ("scenario = radial-ball\ndims = 1,1.5\n", "dims"),
+            ("scenario = min-principle\npairs = 0\n", "pairs"),
+            ("scenario = quasi-triangle\ntriples = 0\n", "triples"),
+            ("scenario = quasi-triangle\np_values = 1,-2\n", "p_values"),
+            ("scenario = penalized-convergence\nj_max_log2 = -1\n", "j_max_log2"),
+            ("scenario = penalized-convergence\ncap_eps = 0\n", "cap_eps"),
+            ("scenario = penalized-convergence\nobstacle_x0 = 0.9\n", "obstacle_x0"),
+            ("scenario = penalized-convergence\nobstacle_x1 = 1.5\n", "obstacle_x1"),
+            ("scenario = capacity-sandwich\nt_values = -1\n", "t_values"),
+            ("scenario = extremal-contact\ntheta_base = 0\n", "theta_base"),
+            ("scenario = orthogonality\nseed = -1\n", "seed"),
         ],
     )
     def test_rejections_name_the_field(self, text, fragment):
@@ -190,6 +211,28 @@ class TestCliRun:
         assert "config error" in err and "'n'" in err
         assert not out.exists()
 
+    def test_out_of_range_value_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("scenario = radial-ball\nt_min = 5\n")
+        out = tmp_path / "o"
+        rc = main(["run", "radial-ball", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solver_error_exits_one_with_manifest(self, tmp_path, capsys):
+        cfg_file = tmp_path / "stall.cfg"
+        cfg_file.write_text(STALLING_CFG)
+        out = tmp_path / "out"
+        assert main(["run", "penalized-convergence", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert "NewtonStall" in capsys.readouterr().err
+        payload = json.loads((out / "manifest.json").read_text())
+        assert payload["passed"] is False
+        assert payload["files"] == {}
+        [check] = payload["checks"]
+        assert check["name"] == "solver_converged" and check["passed"] is False
+        assert check["value"] > 0.0  # the stalled residual
+
     def test_seed_override_from_environment(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "qt.cfg"
         cfg_file.write_text(smoke_text("quasi-triangle"))
@@ -246,6 +289,16 @@ class TestVerifyAll:
         rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_solver_error_does_not_abort_the_matrix(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_stall.cfg").write_text(STALLING_CFG)
+        (cfg_dir / "b_local.cfg").write_text(smoke_text("local-envelopes"))
+        rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "2 scenario(s), 1 passed, 1 failed" in capsys.readouterr().out
+        assert (tmp_path / "out" / "a_stall" / "manifest.json").exists()
 
 
 class TestSmokeAllScenarios:

@@ -14,7 +14,6 @@ from maenv import (
 )
 from maenv.energy import (
     EXACT_CAPACITY_LIMIT,
-    WeightFunction,
     cap_convergence_metric,
     capacity,
     energy_E,
@@ -25,8 +24,7 @@ from maenv.energy import (
     tail_inf_envelopes,
 )
 from maenv.errors import InfeasibleMask, OrderViolation
-from maenv.fields import MeasureDensity
-from maenv.torus import curvature, integrate
+from maenv.torus import curvature_values, integrate
 
 from oracles import (
     capacity_subset_ascent,
@@ -57,11 +55,11 @@ def random_psh(theta, rng, amp=0.04):
         kx, ky = rng.integers(-2, 3, size=2)
         phase = rng.uniform(0, 2 * np.pi)
         vals += rng.uniform(-amp, amp) * np.cos(2 * np.pi * (kx * xx + ky * yy) + phase)
-    worst = float(curvature(GridField(grid, vals)).values.min())
+    worst = float(curvature_values(vals, grid.h).min())
     if worst < -0.9:  # keep a positive curvature margin against theta = 1
         vals *= 0.9 / -worst
     u = GridField(grid, vals)
-    assert is_theta_psh(theta, u)[0]
+    assert is_theta_psh(theta, u).passed
     return u
 
 
@@ -238,7 +236,7 @@ class TestCapacity:
         v = extremal_field(th)
         assert (lower.witness.values <= v.values + 1e-9).all()
         assert (lower.witness.values >= v.values - 1.0 - 1e-9).all()
-        mass = 1.0 + curvature(lower.witness).values
+        mass = 1.0 + curvature_values(lower.witness.values, g.h)
         assert abs(float((mass[mask]).sum()) * g.h**2 - lower.value) < 1e-12
 
     def test_multi_start_ascent_agrees(self, small):
@@ -375,21 +373,3 @@ class TestTailInfEnvelopes:
             assert b <= a + 1e-9
         assert dists[10] < 1e-2
 
-
-class TestWeightFunction:
-    def test_families_and_validation(self):
-        ident = WeightFunction("identity")
-        assert ident(-2.0) == -2.0
-        power = WeightFunction("power", q=0.5)
-        assert abs(power(-4.0) + 2.0) < 1e-15
-        with pytest.raises(ValueError):
-            WeightFunction("exponential")
-        with pytest.raises(ValueError):
-            WeightFunction("power", q=1.5)
-        with pytest.raises(ValueError):
-            WeightFunction("power", q=0.5)(1.0)
-
-    def test_sampled_convexity_invariant(self):
-        ts = -np.linspace(0.01, 5.0, 200)
-        for wf in (WeightFunction("identity"), WeightFunction("power", q=0.7)):
-            assert wf.is_convex_increasing_on(ts)

@@ -14,9 +14,11 @@ from maenv import (
     penalized_envelope,
     penalized_step,
     psor_envelope,
+    random_smooth_field,
+    theta_cosine,
 )
 from maenv.errors import EmptySupport, NonConvergence
-from maenv.fields import MeasureDensity
+from maenv.torus import MeasureDensity
 from maenv.obstacle import (
     PenalizationSchedule,
     _psor_values,
@@ -89,7 +91,7 @@ class TestPsorEnvelope:
     def test_min_of_two_admissible_functions(self, grid, theta_one):
         a = field_from_function(grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x))
         b = field_from_function(grid, lambda x, y: 0.05 * np.sin(2 * np.pi * (x + y)))
-        assert is_theta_psh(theta_one, a)[0] and is_theta_psh(theta_one, b)[0]
+        assert is_theta_psh(theta_one, a).passed and is_theta_psh(theta_one, b).passed
         h = GridField(grid, np.minimum(a.values, b.values))
         sol = psor_envelope(theta_one, h, tol=1e-10)
         assert abs(sol.complementarity_defect) < 1e-10
@@ -99,7 +101,7 @@ class TestPsorEnvelope:
         h = kinked_obstacle(grid)
         sol = psor_envelope(theta_one, h, tol=1e-10)
         assert (sol.u.values <= h.values + 1e-12).all()
-        assert is_theta_psh(theta_one, sol.u)[0]
+        assert is_theta_psh(theta_one, sol.u).passed
         again = psor_envelope(theta_one, sol.u, tol=1e-10)
         assert np.abs(again.u.values - sol.u.values).max() < 1e-9
         # monotone in the obstacle, and equivariant under constant shifts
@@ -197,6 +199,56 @@ class TestPsorSweepMatchesReference:
         )
         assert not ok and sweeps == 29
         assert len(history) == 29 // 8 + 2
+
+
+METAMORPHIC_CASES = [(n, seed) for n in (16, 32) for seed in (0, 1, 2)]
+
+
+def seeded_obstacle(n, seed):
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(seed)
+    return grid, rng, random_smooth_field(grid, rng, modes=3, amplitude=1.0).values
+
+
+def tight_envelope(theta, values):
+    return psor_envelope(theta, GridField(theta.grid, values), tol=1e-11).u.values
+
+
+class TestEnvelopeMetamorphic:
+    """Identities of the exact envelope that the solver output keeps to 1e-9."""
+
+    @pytest.mark.parametrize("n, seed", METAMORPHIC_CASES)
+    def test_constants_pass_through(self, n, seed):
+        grid, rng, h = seeded_obstacle(n, seed)
+        theta = theta_cosine(grid, 1.0, 0.5)
+        c = float(rng.uniform(-2.0, 2.0))
+        gap = tight_envelope(theta, h + c) - (tight_envelope(theta, h) + c)
+        assert np.abs(gap).max() <= 1e-9
+
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 3), (5, 2)])
+    @pytest.mark.parametrize("n, seed", METAMORPHIC_CASES)
+    def test_commutes_with_periodic_shifts(self, n, seed, shift):
+        # odd shifts swap the red-black colours, so the iterates differ
+        grid, _, h = seeded_obstacle(n, seed)
+        theta = ThetaDensity(constant_field(grid, 1.0))
+        shifted = tight_envelope(theta, np.roll(h, shift, axis=(0, 1)))
+        assert np.abs(shifted - np.roll(tight_envelope(theta, h), shift, axis=(0, 1))).max() <= 1e-9
+
+    @pytest.mark.parametrize("n, seed", METAMORPHIC_CASES)
+    def test_monotone_in_the_obstacle(self, n, seed):
+        grid, rng, h = seeded_obstacle(n, seed)
+        theta = theta_cosine(grid, 1.0, 0.5)
+        lift = random_smooth_field(grid, rng, modes=2, amplitude=0.5).values
+        higher = h + (lift - lift.min())
+        assert np.all(tight_envelope(theta, h) <= tight_envelope(theta, higher) + 1e-9)
+
+    @pytest.mark.parametrize("n, seed", METAMORPHIC_CASES)
+    def test_output_is_admissible_and_below_the_obstacle(self, n, seed):
+        grid, _, h = seeded_obstacle(n, seed)
+        theta = theta_cosine(grid, 1.0, 0.5)
+        u = tight_envelope(theta, h)
+        assert np.all(u <= h)
+        assert is_theta_psh(theta, GridField(grid, u), 1e-9).passed
 
 
 class TestEnvelopeWithPartialConstraint:

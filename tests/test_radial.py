@@ -16,7 +16,7 @@ from maenv import (
     radial_ma_mass,
 )
 from maenv.errors import OrderViolation
-from maenv.radial import measure_to_csv, profile_to_csv
+from maenv.radial import measure_to_csv
 
 from oracles import cutting_plane_envelope, halfplane_log1pexp
 
@@ -169,13 +169,6 @@ class TestLocalEnvelopes:
 
 
 class TestRadialSerialization:
-    def test_profile_csv_header_and_length(self):
-        axis = TAxis(-10.0, 10.0, 128)
-        text = profile_to_csv(fs_potential(axis))
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,value"
-        assert len(lines) == 129
-
     def test_measure_csv_header(self):
         axis = TAxis()
         _, h_lsc = ball_step_obstacle(axis)
