@@ -13,6 +13,15 @@ is a symmetric M-matrix; it is invertible whenever some rho_k is not
 identically zero (full-grid case) or a Dirichlet mask pins the constant mode
 (local case).  A backtracking line search on the squared residual norm keeps
 the iteration inside the monotone basin.
+
+Linear solves: the first Newton matrix of a call is factored once by sparse
+LU (minimum-degree ordering on A^T + A, which suits the symmetric pattern).
+Each later step solves its own matrix by conjugate gradients preconditioned
+with that factorization, a lagged-Jacobian preconditioner: the matrices of
+consecutive steps differ only in the diagonal.  If CG does not reach the
+relative residual ``_CG_RTOL`` within ``_CG_MAXITER`` iterations, the current
+matrix is factored and solved directly, and that factorization preconditions
+the steps after it.
 """
 
 from __future__ import annotations
@@ -27,13 +36,19 @@ from .errors import NewtonStall, NonConvergence
 from .torus import laplacian_matrix
 
 _EXP_CAP = 500.0  # cap on exponents; keeps overflow out of the line search
+_CG_RTOL = 1e-12  # relative residual of each preconditioned CG solve
+_CG_MAXITER = 50  # CG iterations before the step refactors and solves directly
 
 __all__ = ["SolverReport", "newton_semilinear"]
 
 
 @dataclass
 class SolverReport:
-    """Iteration diagnostics shared by the solvers."""
+    """Iteration diagnostics shared by the solvers.
+
+    ``factorizations`` and ``cg_iterations`` count the work of Newton's
+    linear solves; they stay 0 for PSOR.
+    """
 
     method: str
     iterations: int
@@ -41,6 +56,45 @@ class SolverReport:
     converged: bool
     history: list = field(default_factory=list)
     damping: list = field(default_factory=list)
+    factorizations: int = 0
+    cg_iterations: int = 0
+
+
+class _LaggedLU:
+    """Solves with diag(w) - C for a sequence of weights w, reusing one LU.
+
+    The first solve factors its matrix; later ones run CG preconditioned
+    with that factorization and refactor only when CG misses ``_CG_RTOL``
+    within ``_CG_MAXITER`` iterations.
+    """
+
+    def __init__(self, cmat):
+        self.cmat = cmat
+        self.lu = None
+        self.factorizations = 0
+        self.cg_iterations = 0
+
+    def solve(self, w, g):
+        m = sp.diags(w) - self.cmat
+        if self.lu is not None:
+            delta, info = spla.cg(
+                m,
+                g,
+                rtol=_CG_RTOL,
+                maxiter=_CG_MAXITER,
+                M=spla.LinearOperator(m.shape, matvec=self.lu.solve),
+                callback=self._count,
+            )
+            if info == 0:
+                return delta
+        # minimum degree on A^T + A suits the symmetric pattern (about half
+        # the fill of the default column ordering)
+        self.lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.factorizations += 1
+        return self.lu.solve(g)
+
+    def _count(self, _):
+        self.cg_iterations += 1
 
 
 def newton_semilinear(
@@ -85,6 +139,14 @@ def newton_semilinear(
             g = g[idx]
         return g, weight
 
+    solver = _LaggedLU(cmat if idx is None else cmat[idx][:, idx])
+
+    def report(it, res_inf, converged):
+        return SolverReport(
+            method, it, res_inf, converged, history, damping,
+            solver.factorizations, solver.cg_iterations,
+        )
+
     g, weight = residual(phi)
     merit = float(g @ g)
     history, damping = [], []
@@ -93,14 +155,9 @@ def newton_semilinear(
         res_inf = float(np.abs(g).max())
         history.append(res_inf)
         if res_inf <= tol:
-            return phi.reshape(n, n), SolverReport(
-                method, it, res_inf, True, history, damping
-            )
+            return phi.reshape(n, n), report(it, res_inf, True)
         it += 1
-        m = sp.diags(weight) - cmat
-        if idx is not None:
-            m = m.tocsr()[idx][:, idx]
-        delta = spla.splu(m.tocsc()).solve(g)
+        delta = solver.solve(weight if idx is None else weight[idx], g)
         full_delta = delta
         if idx is not None:
             full_delta = np.zeros_like(phi)
@@ -129,9 +186,7 @@ def newton_semilinear(
                     iterations=it,
                 )
         if stalled:
-            return phi.reshape(n, n), SolverReport(
-                method, it, res_inf, res_inf <= tol, history, damping
-            )
+            return phi.reshape(n, n), report(it, res_inf, res_inf <= tol)
         damping.append(step)
         phi = phi + step * full_delta
         g, weight, merit = g_new, weight_new, merit_new

@@ -277,6 +277,16 @@ def _check_ranges(name: str, params: dict) -> None:
     if "t_min" in params:
         require(params["t_min"] < 0, "t_min", "negative")
         require(params["t_max"] > 0, "t_max", "positive")
+    if "m" in params:
+        # the ball's atom and the point obstacle sit at t = 0, so the axis
+        # must sample it: -t_min*m/(t_max - t_min) has to be an integer
+        axis = TAxis(params.get("t_min", TAxis.t_min), params.get("t_max", TAxis.t_max), params["m"])
+        if not (axis.ts == 0.0).any():
+            fields = "'m' or 't_min'" if "t_min" in params else "'m'"
+            raise ConfigError(
+                f"field {fields} must put t = 0 on the axis t_min + k*(t_max - t_min)/m, "
+                f"but it falls at k = {-axis.t_min / axis.dt:g} (m = {axis.m}, t_min = {axis.t_min:g}, t_max = {axis.t_max:g})"
+            )
     if "obstacle_x0" in params:
         x0, x1 = params["obstacle_x0"], params["obstacle_x1"]
         require(0 <= x0 < x1, "obstacle_x0", "in [0, obstacle_x1)")

@@ -81,6 +81,10 @@ class TestConfigParsing:
         cfg = parse_config_text("seed = 1\n", scenario="local-envelopes")
         assert cfg.scenario == "local-envelopes"
 
+    def test_asymmetric_axis_sampling_zero_accepted(self):
+        cfg = parse_config_text("scenario = radial-ball\nt_min = -40\nt_max = 24\n")
+        assert (cfg.params["t_min"], cfg.params["t_max"]) == (-40.0, 24.0)
+
     def test_float_list_coercion(self):
         cfg = parse_config_text("scenario = capacity-sandwich\nt_values = 1,2.5,7\n")
         assert cfg.params["t_values"] == (1.0, 2.5, 7.0)
@@ -101,6 +105,10 @@ class TestConfigParsing:
             ("scenario = radial-ball\nt_max = -5\n", "t_max"),
             ("scenario = radial-ball\nm = 1\n", "'m'"),
             ("scenario = local-envelopes\nm = 8\n", "'m'"),
+            ("scenario = local-envelopes\nm = 65\n", "'m'"),
+            ("scenario = radial-ball\nm = 4095\n", "'m'"),
+            ("scenario = radial-ball\nt_min = -30\n", "t_min"),
+            ("scenario = radial-ball\nt_max = 30\n", "t_min"),
             ("scenario = radial-ball\ndims = 0\n", "dims"),
             ("scenario = radial-ball\ndims = 1,1.5\n", "dims"),
             ("scenario = min-principle\npairs = 0\n", "pairs"),

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import maenv._newton
+import maenv.equations
+import maenv.obstacle
 from maenv import (
     GridField,
     ThetaDensity,
@@ -14,6 +17,7 @@ from maenv import (
     solve_ma_exponential,
     solve_two_measure,
 )
+from maenv._newton import newton_semilinear
 from maenv.equations import (
     SupersolutionFamily,
     glue_supersolution,
@@ -28,10 +32,11 @@ from maenv.errors import (
     FamilyExhausted,
     NoSubsolution,
 )
+from maenv.obstacle import PenalizationSchedule, penalized_envelope
 from maenv.torus import MeasureDensity
 from maenv.torus import integrate
 
-from oracles import spectral_exponential_1d
+from oracles import newton_direct_reference, spectral_exponential_1d
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +307,95 @@ class TestGluing:
             glue_supersolution(
                 theta_one, phi_exact, phi_exact, np.zeros((grid.n, grid.n), bool), mu_one
             )
+
+
+class TestNewtonMatchesDirectReference:
+    """Each Newton call of a solve, repeated with one sparse LU per step.
+
+    The library factors once per call and solves the later steps by CG
+    preconditioned with that factorization; iteration counts must agree and
+    the solutions to rounding.
+    """
+
+    N = 32
+
+    @staticmethod
+    def calls_against_reference(monkeypatch, module):
+        pairs = []
+
+        def both(*args, **kwargs):
+            out = newton_semilinear(*args, **kwargs)
+            pairs.append((out, newton_direct_reference(*args, **kwargs)))
+            return out
+
+        monkeypatch.setattr(module, "newton_semilinear", both)
+        return pairs
+
+    @staticmethod
+    def assert_match(pairs, one_factorization=True):
+        assert pairs
+        for (phi, rep), (phi_ref, rep_ref) in pairs:
+            assert rep.iterations == rep_ref.iterations
+            assert np.abs(phi - phi_ref).max() <= 1e-12
+            # the residual after each step, so an inexact step that later
+            # steps correct does not pass unseen
+            assert np.abs(np.subtract(rep.history, rep_ref.history)).max() <= 1e-11
+            if one_factorization:
+                assert rep.factorizations == 1
+
+    def penalized_schedule(self, monkeypatch, null_column):
+        grid = TorusGrid(self.N)
+        theta = ThetaDensity(constant_field(grid, 1.0))
+        x, _ = grid.coords()
+        step = np.where(np.abs(x - 0.5) < 0.25, -1.0, 0.0)
+        v = GridField(grid, np.minimum(0.25 * np.cos(2 * np.pi * x) + 0.1, step))
+        rho = np.ones((self.N, self.N))
+        if null_column:
+            rho[self.N // 2, :] = 0.0
+        pairs = self.calls_against_reference(monkeypatch, maenv.obstacle)
+        sched = PenalizationSchedule(js=tuple(float(2**k) for k in range(11)))
+        penalized_envelope(theta, v, MeasureDensity(GridField(grid, rho)), schedule=sched)
+        return pairs
+
+    @pytest.mark.parametrize("null_column", [False, True])
+    def test_penalized_schedule(self, monkeypatch, null_column):
+        pairs = self.penalized_schedule(monkeypatch, null_column)
+        assert len(pairs) >= 11
+        self.assert_match(pairs)
+
+    def test_exponential_solve(self, monkeypatch):
+        grid = TorusGrid(self.N)
+        theta = ThetaDensity(field_from_function(grid, lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * y)))
+        mu = MeasureDensity(field_from_function(grid, lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x)))
+        pairs = self.calls_against_reference(monkeypatch, maenv.equations)
+        for beta in (1.0, 8.0):
+            solve_ma_exponential(theta, mu, beta=beta)
+        self.assert_match(pairs)
+
+    def test_two_measure_solve(self, monkeypatch):
+        grid = TorusGrid(self.N)
+        theta = ThetaDensity(constant_field(grid, 1.0))
+        u = field_from_function(grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x))
+        v = field_from_function(grid, lambda x, y: 0.05 * np.sin(2 * np.pi * (x + y)) - 0.01)
+        pairs = self.calls_against_reference(monkeypatch, maenv.equations)
+        solve_two_measure(theta, u, v, beta=float(2**10))
+        assert len(pairs) > 1
+        self.assert_match(pairs)
+
+    def test_local_solve(self, monkeypatch):
+        grid = TorusGrid(self.N)
+        theta = ThetaDensity(constant_field(grid, 1.0))
+        mu = MeasureDensity(field_from_function(grid, lambda x, y: np.maximum(np.cos(2 * np.pi * x), 0.0)))
+        mask = TestGluing.erode(TestGluing.disk_mask(self.N, radius2=0.1), 1)
+        pairs = self.calls_against_reference(monkeypatch, maenv.equations)
+        solve_ma_exponential_local(theta, mu, mask, constant_field(grid, 0.3), beta=4.0)
+        self.assert_match(pairs)
+
+    def test_refactor_fallback(self, monkeypatch):
+        # a CG cap of one iteration misses the tolerance, so every later
+        # step refactors at its own matrix and solves directly
+        monkeypatch.setattr(maenv._newton, "_CG_MAXITER", 1)
+        pairs = self.penalized_schedule(monkeypatch, null_column=True)
+        self.assert_match(pairs, one_factorization=False)
+        for (_, rep), _ in pairs:
+            assert rep.factorizations == rep.iterations
