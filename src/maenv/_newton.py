@@ -104,7 +104,6 @@ def newton_semilinear(
     tol: float = 1e-10,
     max_iter: int = 80,
     free_mask: np.ndarray | None = None,
-    method: str = "newton",
 ):
     """Damped Newton on the residual theta + curvature(phi) - sum_k exp(...)*rho_k.
 
@@ -143,7 +142,7 @@ def newton_semilinear(
 
     def report(it, res_inf, converged):
         return SolverReport(
-            method, it, res_inf, converged, history, damping,
+            "newton", it, res_inf, converged, history, damping,
             solver.factorizations, solver.cg_iterations,
         )
 

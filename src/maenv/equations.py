@@ -67,22 +67,18 @@ def solve_ma_exponential(
     beta: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 80,
-    init: GridField | None = None,
 ):
     """Solve theta + curvature(phi) = exp(beta*phi) * mu by damped Newton.
 
     Returns ``(GridField, SolverReport)``.  The equation has a unique
-    solution for beta > 0; the default start is the constant balancing the
-    total masses, log(V / mu_total) / beta.
+    solution for beta > 0; the start is the constant balancing the total
+    masses, log(V / mu_total) / beta.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     grid = theta.grid
-    if init is None:
-        c = np.log(theta.total_mass / mu.total_mass) / beta
-        u0 = np.full((grid.n, grid.n), c)
-    else:
-        u0 = init.values
+    c = np.log(theta.total_mass / mu.total_mass) / beta
+    u0 = np.full((grid.n, grid.n), c)
     zero = np.zeros((grid.n, grid.n))
     phi, report = newton_semilinear(
         theta.density.values,
@@ -134,7 +130,6 @@ def solve_two_measure(
     beta: float,
     tol: float = 1e-10,
     max_iter: int = 120,
-    init: GridField | None = None,
 ):
     """Solve theta + curvature(phi) = e^{beta(phi-u)} ma_+(u) + e^{beta(phi-v)} ma_+(v).
 
@@ -157,7 +152,7 @@ def solve_two_measure(
     betas = [float(beta)]
     while betas[0] > 16.0:
         betas.insert(0, betas[0] / 4.0)
-    phi = init.values if init is not None else np.minimum(u.values, v.values) - np.log(2.0) / betas[0]
+    phi = np.minimum(u.values, v.values) - np.log(2.0) / betas[0]
     report = None
     for bk in betas:
         phi, report = newton_semilinear(
@@ -193,23 +188,19 @@ def pmin_compose(
     theta: ThetaDensity,
     u: GridField,
     v: GridField,
-    contact_tol: float | None = None,
     psor_tol: float = 1e-10,
-    **psor_kwargs,
 ) -> PminResult:
     """Envelope of min(u, v) and the defect of the partition inequality.
 
     The defect field is ma(phi) - [1_{phi=u} ma(u) + 1_{phi=v} ma(v)] with the
-    contact masks taken at ``contact_tol``; its positive part is at solver
-    scale for admissible u, v, while its L1 norm shrinks linearly with the
-    grid spacing (the detachment ring carries O(h) mass).
+    contact masks taken at the envelope's ``contact_tol``; its positive part
+    is at solver scale for admissible u, v, while its L1 norm shrinks
+    linearly with the grid spacing (the detachment ring carries O(h) mass).
     """
     grid = theta.grid
     obstacle = GridField(grid, np.minimum(u.values, v.values))
-    sol = psor_envelope(theta, obstacle, tol=psor_tol, **psor_kwargs)
-    phi = sol.u
-    if contact_tol is None:
-        contact_tol = 1e-6 * (1.0 + float(np.abs(obstacle.values).max()))
+    sol = psor_envelope(theta, obstacle, tol=psor_tol)
+    phi, contact_tol = sol.u, sol.contact_tol
     mask_u = phi.values >= u.values - contact_tol
     mask_v = phi.values >= v.values - contact_tol
     claimed = mask_u * ma_density(theta, u).values + mask_v * ma_density(theta, v).values
@@ -254,22 +245,19 @@ def subsolution_check(
 class SupersolutionFamily:
     """A validated collection of supersolutions of one exponential equation.
 
-    Members may be supplied up front or drawn lazily from a generator
-    (an iterator of GridFields); every candidate must pass
-    :func:`supersolution_check` at ``residual_tol`` or it is rejected with
-    :class:`InputNotSupersolution`.
+    Every member must pass :func:`supersolution_check` at ``residual_tol`` or
+    it is rejected with :class:`InputNotSupersolution`.
     """
 
-    def __init__(self, theta, mu, members=(), generator=None, residual_tol=1e-8):
+    def __init__(self, theta, mu, members=(), residual_tol=1e-8):
         self.theta = theta
         self.mu = mu
-        self.generator = generator
         self.residual_tol = float(residual_tol)
         self.members: list[GridField] = []
         for psi in members:
             self.add(psi)
 
-    def add(self, psi: GridField) -> GridField:
+    def add(self, psi: GridField) -> None:
         report = supersolution_check(self.theta, psi, self.mu, self.residual_tol)
         if not report.passed:
             raise InputNotSupersolution(
@@ -277,18 +265,6 @@ class SupersolutionFamily:
                 report=report,
             )
         self.members.append(psi)
-        return psi
-
-    def draw(self) -> GridField | None:
-        """Pull, validate and store the next generated member (None when spent)."""
-        if self.generator is None:
-            return None
-        try:
-            psi = next(self.generator)
-        except StopIteration:
-            self.generator = None
-            return None
-        return self.add(psi)
 
     def __len__(self):
         return len(self.members)
@@ -330,19 +306,12 @@ def perron_solve(
         raise NoSubsolution(
             f"u0 violates the subsolution bound by {sub.value:.3e}"
         )
-    if len(family) == 0 and family.draw() is None:
-        raise ValueError("family has no members and the generator is spent")
+    if len(family) == 0:
+        raise ValueError("family has no members")
 
     history: list[PerronRound] = []
     current: GridField | None = None
-    k = 0
-    while k < max_members:
-        if k < len(family.members):
-            psi = family.members[k]
-        else:
-            psi = family.draw()
-            if psi is None:
-                break
+    for k, psi in enumerate(family.members[:max_members]):
         if current is None:
             current = psi
             gap = float("inf")
@@ -354,11 +323,10 @@ def perron_solve(
         res_super = float(defect.max())
         res_eq = float(np.abs(defect).max())
         history.append(PerronRound(k, k, gap, res_super, res_eq))
-        k += 1
         if res_eq <= equation_tol:
             return current, history
     raise FamilyExhausted(
-        f"folded {k} members, equation residual {history[-1].equation_residual:.3e}",
+        f"folded {len(history)} members, equation residual {history[-1].equation_residual:.3e}",
         gap=history[-1].equation_residual,
         best=current,
     )

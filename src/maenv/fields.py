@@ -142,7 +142,7 @@ class SupersolutionDatum:
     ``gate_tol`` absorbs the two discretization effects of the pointwise
     check: O(h^2) truncation of the centered curvature on smooth regions,
     and the downward shift of inf-convolution preprocessing at strength
-    j_ic = N, which moves any field with gradient g by up to g^2/(4 j_ic)
+    j = N, which moves any field with gradient g by up to g^2/(4 j)
     and so lowers the right-hand side e^v f by that times its sup.
     """
 

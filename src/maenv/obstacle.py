@@ -6,8 +6,9 @@ Two independent routes to the same envelope:
 
       u <= h,   theta + curvature(u) >= 0,   (h - u) * (theta + curvature(u)) = 0
 
-  by red-black projected successive over-relaxation, warm-started from a
-  coarse grid.  Its solution is the largest theta-psh field below the
+  by red-black projected successive over-relaxation from the constant
+  min(h).  The problem's matrix is an M-matrix, so its solution does not
+  depend on the start: it is the largest theta-psh field below the
   obstacle h (constraints optionally imposed only on a mask, which yields
   the envelope relative to a measure that vanishes elsewhere).
 
@@ -36,7 +37,6 @@ from .torus import (
     GridField,
     MeasureDensity,
     ThetaDensity,
-    TorusGrid,
     curvature_values,
     ma_density,
     neighbor_sum,
@@ -73,19 +73,6 @@ def _natural_residual(u, hproj, theta, h):
     return float(np.abs(np.minimum(gap, w)).max()), w
 
 
-def _prolong(uc: np.ndarray) -> np.ndarray:
-    """Periodic bilinear interpolation onto the doubled grid."""
-    n = uc.shape[0]
-    uf = np.empty((2 * n, 2 * n))
-    right = np.roll(uc, -1, axis=0)
-    down = np.roll(uc, -1, axis=1)
-    uf[0::2, 0::2] = uc
-    uf[1::2, 0::2] = 0.5 * (uc + right)
-    uf[0::2, 1::2] = 0.5 * (uc + down)
-    uf[1::2, 1::2] = 0.25 * (uc + right + down + np.roll(right, -1, axis=1))
-    return uf
-
-
 def _refresh_ghosts(padded: np.ndarray) -> None:
     """Copy the periodic wrap of the interior into the one-site ghost layer."""
     padded[0, 1:-1] = padded[-2, 1:-1]
@@ -115,19 +102,19 @@ def _quarter_lattice(padded, ctheta, hproj, a, b):
     return sites, neighbours, ctheta[a::2, b::2], hproj[a::2, b::2]
 
 
-def _psor_values(theta, hproj, tol, max_iter, omega, init):
+def _psor_values(theta, hproj, tol, max_iter, init):
     """Red-black projected SOR on a ghost-padded copy of the iterate.
 
     Each half-sweep relaxes only the sites of its colour, as two
     quarter-lattices updated in place through strided views.  A colour's
     neighbours all have the other colour, so this is the same Jacobi step per
     colour as relaxing the whole grid and keeping that colour, with the same
-    floating-point operations in the same order.
+    floating-point operations in the same order.  The relaxation factor is
+    the optimal one for the periodic Laplacian, 2 / (1 + sin(pi h)).
     """
     n = theta.shape[0]
     h = 1.0 / n
-    if omega is None:
-        omega = 2.0 / (1.0 + np.sin(np.pi * h))
+    omega = 2.0 / (1.0 + np.sin(np.pi * h))
     ctheta = 2.0 * np.pi * h * h * theta
 
     padded = np.empty((n + 2, n + 2))
@@ -171,10 +158,7 @@ def psor_envelope(
     obstacle: GridField,
     tol: float = 1e-9,
     max_iter: int = 200_000,
-    omega: float | None = None,
     constraint_mask: np.ndarray | None = None,
-    init: GridField | None = None,
-    cascade: bool = True,
 ) -> ObstacleSolution:
     """Largest theta-psh field below the obstacle (projected SOR).
 
@@ -202,27 +186,8 @@ def psor_envelope(
     else:
         mask = np.ones_like(hproj, dtype=bool)
 
-    if init is not None:
-        u0 = init.values.copy()
-    elif cascade and grid.n > 64 and mask[::2, ::2].any():
-        try:
-            coarse = psor_envelope(
-                ThetaDensity(GridField(TorusGrid(grid.n // 2), th[::2, ::2])),
-                GridField(TorusGrid(grid.n // 2), obstacle.values[::2, ::2]),
-                tol=max(tol, 1e-7),
-                max_iter=max_iter,
-                constraint_mask=mask[::2, ::2] if constraint_mask is not None else None,
-                cascade=True,
-            )
-        except NonConvergence as exc:
-            # a stalled coarse level is still a warm start; the fine solve
-            # decides convergence and reports on the fine grid
-            coarse = exc.best
-        u0 = _prolong(coarse.u.values)
-    else:
-        u0 = np.full_like(hproj, float(hproj[mask].min()))
-
-    u, sweeps, res, history, ok = _psor_values(th, hproj, tol, max_iter, omega, u0)
+    u0 = np.full_like(hproj, float(hproj[mask].min()))
+    u, sweeps, res, history, ok = _psor_values(th, hproj, tol, max_iter, u0)
     report = SolverReport("psor", sweeps, res, ok, history)
     contact_tol = 1e-6 * (1.0 + float(np.abs(obstacle.values[mask]).max()))
     w = th + curvature_values(u, grid.h)
@@ -245,13 +210,12 @@ def envelope_mu(
     v: GridField,
     mu: MeasureDensity,
     tol: float = 1e-9,
-    **kwargs,
 ) -> ObstacleSolution:
     """Envelope of v with the constraint u <= v imposed only on supp(mu)."""
     mask = mu.support_mask
     if not mask.any():
         raise EmptySupport("measure support is empty")
-    return psor_envelope(theta, v, tol=tol, constraint_mask=mask, **kwargs)
+    return psor_envelope(theta, v, tol=tol, constraint_mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +291,19 @@ def penalized_envelope(
     v: GridField,
     mu: MeasureDensity,
     schedule: PenalizationSchedule | None = None,
-    oracle: ObstacleSolution | None = None,
     newton_tol: float = 1e-10,
     psor_tol: float = 1e-10,
 ) -> PenalizedEnvelope:
     """Warm-started penalization schedule with per-step diagnostics.
 
     Each step reports the sup/L1 distance to the obstacle-problem oracle
-    (computed here once if not supplied) and the minimum slack of the lower
+    (:func:`envelope_mu`, computed once) and the minimum slack of the lower
     bound, whose fixed field solves theta + curvature(phi) = exp(phi)*mu.
     """
     from .equations import solve_ma_exponential  # local import, no cycle at call time
 
     schedule = schedule or PenalizationSchedule()
-    if oracle is None:
-        oracle = envelope_mu(theta, v, mu, tol=psor_tol)
+    oracle = envelope_mu(theta, v, mu, tol=psor_tol)
     phi_fixed, _ = solve_ma_exponential(theta, mu, beta=1.0, tol=newton_tol)
     inf_v = float(v.values.min())
 

@@ -28,6 +28,9 @@ from scipy.ndimage import median_filter
 
 from .errors import InfeasibleMask, OrderViolation
 
+_SLOPE_TOL = 1e-8  # slack on the slope range [0, 1/2] of a sampled profile
+_ATOM_FACTOR = 10.0  # slope jump over the ambient variation that makes an atom
+
 __all__ = [
     "TAxis",
     "RadialProfile",
@@ -71,20 +74,20 @@ class TAxis:
 
 
 class RadialProfile:
-    """Sampled convex profile with slopes in [0, 1/2] (within slope_tol)."""
+    """Sampled convex profile with slopes in [0, 1/2] (within ``_SLOPE_TOL``)."""
 
     __slots__ = ("axis", "_values")
 
-    def __init__(self, axis: TAxis, values, slope_tol: float = 1e-8):
+    def __init__(self, axis: TAxis, values):
         arr = np.asarray(values, dtype=np.float64).copy()
         if arr.shape != (axis.m,):
             raise ValueError(f"expected {axis.m} samples, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("profile values must be finite")
         s = np.diff(arr) / axis.dt
-        if s.size and (s.min() < -slope_tol or s.max() > 0.5 + slope_tol):
+        if s.size and (s.min() < -_SLOPE_TOL or s.max() > 0.5 + _SLOPE_TOL):
             raise ValueError(
-                f"slopes [{s.min():.3e}, {s.max():.3e}] leave [0, 1/2] by more than {slope_tol:g}"
+                f"slopes [{s.min():.3e}, {s.max():.3e}] leave [0, 1/2] by more than {_SLOPE_TOL:g}"
             )
         if s.size > 1 and np.diff(s).min() < -1e-6 * max(1.0, np.abs(s).max()):
             raise ValueError("profile is not convex at sample resolution")
@@ -227,10 +230,10 @@ class SlopeMeasure:
         return float(out)
 
 
-def radial_ma_mass(profile: RadialProfile, n: int, atom_factor: float = 10.0) -> SlopeMeasure:
+def radial_ma_mass(profile: RadialProfile, n: int) -> SlopeMeasure:
     """Slope measure of a convex profile: cumulative F, atoms, boundary mass.
 
-    A slope jump counts as an atom when it exceeds ``atom_factor`` times the
+    A slope jump counts as an atom when it exceeds ``_ATOM_FACTOR`` times the
     ambient per-cell slope variation (a windowed median of the neighbouring
     jumps).  At detected atoms the left slope is re-estimated with a one-sided
     second-order difference, which sharpens the atom mass by O(dt^2) without
@@ -249,7 +252,7 @@ def radial_ma_mass(profile: RadialProfile, n: int, atom_factor: float = 10.0) ->
     pos = np.maximum(jumps, 0.0)
     ambient = median_filter(pos, size=9, mode="nearest")
     floor = 1e-9 * max(1.0, float(np.abs(s).max()))
-    atom_mask = pos > atom_factor * ambient + floor
+    atom_mask = pos > _ATOM_FACTOR * ambient + floor
     atom_indices = np.nonzero(atom_mask)[0]
 
     cumulative = (2.0 * s) ** n

@@ -248,7 +248,7 @@ def parse_config_text(text: str, scenario: str | None = None) -> ScenarioConfig:
 # lower bounds the library enforces when a scenario builds its objects
 # (TAxis needs 64 samples, PenalizationSchedule at least one strength) or
 # that keep a scenario's aggregates nonempty
-_AT_LEAST = {"m": 64, "j_max_log2": 0, "pairs": 1, "triples": 1}
+_AT_LEAST = {"m": 64, "j_max_log2": 0, "pairs": 1, "triples": 1, "count": 1, "masks": 1, "seeds": 1}
 _POSITIVE = {"cap_eps", "theta_base", "p_values", "t_values"}
 
 

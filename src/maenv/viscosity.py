@@ -57,24 +57,20 @@ def check_supersolution_visc(
     v: GridField,
     f: GridField,
     tol: float = 1e-8,
-    j_ic: float | None = None,
     exponential: bool = True,
 ) -> tuple[Residual, float]:
     """Test (theta + curvature(v))_+ <= e^v f + tol at every site.
 
-    The field is first inf-convolved at strength ``j_ic`` (default: one
-    smoothing length per cell, j_ic = N) and the defect is evaluated on the
-    regularized field everywhere.  Returns ``(residual, checked_fraction)``,
-    the fraction being the share of sites where the regularization was
-    inactive.  With ``exponential=False`` the right-hand side is f alone.
+    The field is first inf-convolved at strength j = N (one smoothing length
+    per cell) and the defect is evaluated on the regularized field
+    everywhere.  Returns ``(residual, checked_fraction)``, the fraction
+    being the share of sites where the regularization was inactive.  With
+    ``exponential=False`` the right-hand side is f alone.
     """
     _validate_weight(f)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    grid = theta.grid
-    if j_ic is None:
-        j_ic = float(grid.n)
-    v_reg = inf_convolution(v, j_ic)
+    v_reg = inf_convolution(v, float(theta.grid.n))
     scale = 1.0 + float(np.abs(v.values).max())
     inactive = v_reg.values >= v.values - 1e-12 * scale
     lhs = np.maximum(ma_density(theta, v_reg).values, 0.0)
@@ -120,7 +116,6 @@ def supersolution_envelope_pipeline(
     f: GridField,
     visc_tol: float = 1e-8,
     psor_tol: float = 1e-9,
-    j_ic: float | None = None,
 ) -> PipelineResult:
     """Envelope a viscosity supersolution and report its equation residual.
 
@@ -131,9 +126,7 @@ def supersolution_envelope_pipeline(
 
     which the structural theorem drives to zero with the grid.
     """
-    report, checked_fraction = check_supersolution_visc(
-        theta, v, f, tol=visc_tol, j_ic=j_ic
-    )
+    report, checked_fraction = check_supersolution_visc(theta, v, f, tol=visc_tol)
     if not report.passed:
         raise InputNotSupersolution(
             f"input violates the viscosity bound by {report.value:.3e} "

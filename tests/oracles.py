@@ -39,8 +39,9 @@ def _roll_neighbor_sum(u):
 
 def psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init):
     """Red-black projected SOR relaxing the whole grid each half-sweep and
-    keeping one colour; same signature and return value as
-    ``maenv.obstacle._psor_values``.
+    keeping one colour; same return value as ``maenv.obstacle._psor_values``,
+    whose arguments it takes plus ``omega`` (None: the factor
+    2 / (1 + sin(pi h)) that ``_psor_values`` always uses).
 
     The natural residual ``max |min(hproj - u, theta + curvature(u))|`` is
     checked every 8 sweeps and at the last one.

@@ -113,6 +113,10 @@ class TestConfigParsing:
             ("scenario = radial-ball\ndims = 1,1.5\n", "dims"),
             ("scenario = min-principle\npairs = 0\n", "pairs"),
             ("scenario = quasi-triangle\ntriples = 0\n", "triples"),
+            ("scenario = capacity-sandwich\nmasks = 0\n", "masks"),
+            ("scenario = capacity-sandwich\nmasks = -2\n", "masks"),
+            ("scenario = orthogonality\ncount = 0\n", "count"),
+            ("scenario = mass-bound\nseeds = 0\n", "seeds"),
             ("scenario = quasi-triangle\np_values = 1,-2\n", "p_values"),
             ("scenario = penalized-convergence\nj_max_log2 = -1\n", "j_max_log2"),
             ("scenario = penalized-convergence\ncap_eps = 0\n", "cap_eps"),
@@ -307,6 +311,28 @@ class TestVerifyAll:
         assert rc == 1
         assert "2 scenario(s), 1 passed, 1 failed" in capsys.readouterr().out
         assert (tmp_path / "out" / "a_stall" / "manifest.json").exists()
+
+    def test_parallel_run_matches_sequential(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "fail.cfg").write_text(FAILING_CFG)
+        (cfg_dir / "local.cfg").write_text(smoke_text("local-envelopes"))
+        (cfg_dir / "qt.cfg").write_text(smoke_text("quasi-triangle"))
+        sequential = verify_all(cfg_dir, tmp_path / "seq")
+        rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "par"), "--parallel"])
+        assert rc == 1
+        assert capsys.readouterr().out == sequential.matrix() + "\n"
+        assert [row[:3] for row in sequential.rows] == [
+            ("fail.cfg", "orthogonality", False),
+            ("local.cfg", "local-envelopes", True),
+            ("qt.cfg", "quasi-triangle", True),
+        ]
+
+        def tree(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert tree(tmp_path / "par") == tree(tmp_path / "seq")
+        assert len(tree(tmp_path / "seq")) == 3 + 3  # one artifact and a manifest each
 
 
 class TestSmokeAllScenarios:

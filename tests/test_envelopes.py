@@ -112,17 +112,8 @@ class TestPsorEnvelope:
     def test_nonconvergence_carries_best_iterate(self, grid, theta_one):
         h = kinked_obstacle(grid)
         with pytest.raises(NonConvergence) as exc:
-            psor_envelope(theta_one, h, tol=1e-14, max_iter=50, cascade=False)
+            psor_envelope(theta_one, h, tol=1e-14, max_iter=50)
         assert exc.value.best is not None
-        assert exc.value.best.u.values.shape == (grid.n, grid.n)
-        assert exc.value.residual > 0
-
-    def test_cascade_stall_still_solves_the_fine_grid(self, grid, theta_one):
-        # the coarse n/2 level stalls first; its iterate only warm-starts the
-        # fine solve, whose error carries an n x n iterate after the fine budget
-        h = kinked_obstacle(grid)
-        with pytest.raises(NonConvergence) as exc:
-            psor_envelope(theta_one, h, tol=1e-14, max_iter=50, cascade=True)
         assert exc.value.best.u.values.shape == (grid.n, grid.n)
         assert exc.value.iterations == 50
         assert exc.value.residual > 0
@@ -155,11 +146,11 @@ class TestPsorSweepMatchesReference:
     """The quarter-lattice sweep reproduces the whole-grid sweep bit for bit."""
 
     @staticmethod
-    def assert_identical(theta, hproj, tol=1e-9, max_iter=200_000, omega=None, init=None):
+    def assert_identical(theta, hproj, tol=1e-9, max_iter=200_000, init=None):
         if init is None:
             init = np.full_like(hproj, float(hproj[np.isfinite(hproj)].min()))
-        got = _psor_values(theta, hproj, tol, max_iter, omega, init.copy())
-        want = psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init.copy())
+        got = _psor_values(theta, hproj, tol, max_iter, init.copy())
+        want = psor_sweeps_reference(theta, hproj, tol, max_iter, None, init.copy())
         u, sweeps, res, history, ok = got
         assert np.array_equal(u, want[0])
         assert (sweeps, ok) == (want[1], want[4])
@@ -186,11 +177,6 @@ class TestPsorSweepMatchesReference:
         x = np.arange(n) / n
         init = 0.3 * np.sin(2 * np.pi * x)[:, None] * np.cos(4 * np.pi * x)[None, :]
         self.assert_identical(cosine_theta(n), step_obstacle(n), init=init)
-
-    def test_omega_override(self):
-        n = 64
-        _, _, _, _, ok = self.assert_identical(cosine_theta(n), smooth_obstacle(n), omega=1.5)
-        assert ok
 
     def test_budget_exhausted_off_the_check_period(self):
         n = 64
