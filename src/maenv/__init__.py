@@ -10,15 +10,13 @@ computable to tolerance:
 
 The public surface re-exports the grid types, both envelope routes (the
 projected-SOR obstacle solver and the penalization scheme), the equation
-solvers with their structural constructions (two-measure splitting, Perron
-folding, gluing), energy/capacity functionals, and the viscosity-side
-checks and pipeline.
+solver with its structural constructions (minimum composition, Perron
+folding), energy/capacity functionals, and the viscosity-side checks and
+pipeline.
 """
 
 from .errors import (
-    BoundaryTraceViolation,
     ConfigError,
-    DegenerateData,
     EmptySupport,
     FamilyExhausted,
     InfeasibleMask,
@@ -73,16 +71,12 @@ from .obstacle import (
     psor_envelope,
 )
 from .equations import (
-    GlueResult,
     PerronRound,
     PminResult,
     SupersolutionFamily,
-    glue_supersolution,
     perron_solve,
     pmin_compose,
     solve_ma_exponential,
-    solve_ma_exponential_local,
-    solve_two_measure,
     subsolution_check,
     supersolution_check,
 )
@@ -92,19 +86,15 @@ from .energy import (
     QuasiTriangleResult,
     cap_convergence_metric,
     capacity,
-    energy_E,
     energy_Ip,
     extremal_field,
     generalized_capacity,
     quasi_triangle_check,
-    tail_inf_envelopes,
 )
 from .viscosity import (
     PipelineResult,
-    check_subsolution_visc,
     check_supersolution_visc,
     mass_bound_check,
-    refined_semicontinuity_check,
     supersolution_envelope_pipeline,
 )
 from .fields import (

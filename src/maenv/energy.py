@@ -4,8 +4,6 @@ In one complex dimension the Monge-Ampère density is affine in the
 potential, which makes everything here either a quadrature or a linear
 program:
 
-* ``energy_E``   -- E(u) = (1/2) * integral (u - V) (ma(u) + ma(V)),
-  the primitive of the Monge-Ampère operator, concave along segments;
 * ``energy_Ip``  -- I_p(u, v) = integral |u-v|^p (ma(u) + ma(v)), the
   quasi-metric whose quasi-triangle constant is certified below;
 * ``capacity``   -- sup of the ma-mass placed on a set by potentials
@@ -13,9 +11,7 @@ program:
   grids, or a lower bound witnessed by the relative extremal envelope;
 * ``generalized_capacity`` -- the same with arbitrary bounds;
 * ``cap_convergence_metric`` -- capacities of exceedance sets, certifying
-  convergence in capacity;
-* ``tail_inf_envelopes``      -- envelopes of running tail-minima, the
-  monotone recovery of a limit from an energy-convergent sequence.
+  convergence in capacity.
 """
 
 from __future__ import annotations
@@ -38,13 +34,11 @@ from .torus import (
 __all__ = [
     "CapacityResult",
     "QuasiTriangleResult",
-    "energy_E",
     "energy_Ip",
     "quasi_triangle_check",
     "capacity",
     "generalized_capacity",
     "cap_convergence_metric",
-    "tail_inf_envelopes",
 ]
 
 EXACT_CAPACITY_LIMIT = 64  # largest grid for the exact linear program
@@ -53,17 +47,6 @@ EXACT_CAPACITY_LIMIT = 64  # largest grid for the exact linear program
 def extremal_field(theta: ThetaDensity, psor_tol: float = 1e-9) -> GridField:
     """V_theta: the envelope of the zero obstacle (minimal-singularity potential)."""
     return psor_envelope(theta, constant_field(theta.grid, 0.0), tol=psor_tol).u
-
-
-def energy_E(
-    theta: ThetaDensity, u: GridField, v_theta: GridField | None = None
-) -> float:
-    """E(u) = (1/2) integral (u - V) (ma(u) + ma(V)); zero at u = V_theta."""
-    if v_theta is None:
-        v_theta = extremal_field(theta)
-    gap = u.values - v_theta.values
-    total = ma_density(theta, u).values + ma_density(theta, v_theta).values
-    return 0.5 * float((gap * total).sum()) * theta.grid.h**2
 
 
 def energy_Ip(theta: ThetaDensity, u: GridField, v: GridField, p: float) -> float:
@@ -246,23 +229,3 @@ def cap_convergence_metric(
                 capacity(theta, mask, "lower_bound", v_theta, psor_tol).value
             )
     return out
-
-
-def tail_inf_envelopes(theta: ThetaDensity, u_list, psor_tol: float = 1e-9) -> list:
-    """Envelopes of the running tail minima inf_{k>=j} u_k, one per j.
-
-    For a sequence converging in energy the results climb monotonically to
-    the limit; constants pass through unchanged.
-    """
-    if not u_list:
-        return []
-    grid = theta.grid
-    tails = [None] * len(u_list)
-    acc = u_list[-1].values.copy()
-    tails[-1] = acc.copy()
-    for k in range(len(u_list) - 2, -1, -1):
-        acc = np.minimum(acc, u_list[k].values)
-        tails[k] = acc.copy()
-    return [
-        psor_envelope(theta, GridField(grid, t), tol=psor_tol).u for t in tails
-    ]

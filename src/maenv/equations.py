@@ -5,18 +5,15 @@ The basic equation is semilinear in one complex dimension,
     theta + curvature(phi) = exp(beta * phi) * mu,        beta > 0,
 
 with a unique solution for any nonzero measure density mu (the nonlinearity
-is strictly monotone).  On top of the solvers this module provides:
+is strictly monotone).  On top of the solver this module provides:
 
-* ``solve_two_measure``  -- the two-term equation whose large-beta limit is
-  the envelope of the pointwise minimum of two potentials;
-* ``pmin_compose``       -- that envelope itself, with the partition-defect
-  field certifying ma(phi) <= 1_{phi=u} ma(u) + 1_{phi=v} ma(v);
+* ``pmin_compose``       -- the envelope of the pointwise minimum of two
+  potentials, with the partition-defect field certifying
+  ma(phi) <= 1_{phi=u} ma(u) + 1_{phi=v} ma(v);
 * ``supersolution_check`` / ``subsolution_check`` -- one-sided residuals of
   the equation defect;
 * ``perron_solve``       -- the envelope of a family of supersolutions,
-  folded two at a time, which descends to the equation's solution;
-* ``glue_supersolution`` -- replacing a supersolution on a sub-region by a
-  local one and restoring global admissibility with an envelope.
+  folded two at a time, which descends to the equation's solution.
 """
 
 from __future__ import annotations
@@ -26,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._newton import newton_semilinear
-from .errors import (
-    BoundaryTraceViolation,
-    DegenerateData,
-    FamilyExhausted,
-    InputNotSupersolution,
-    NoSubsolution,
-)
+from .errors import FamilyExhausted, InputNotSupersolution, NoSubsolution
 from .obstacle import ObstacleSolution, psor_envelope
 from .torus import (
     GridField,
@@ -41,23 +32,18 @@ from .torus import (
     ThetaDensity,
     equation_defect,
     ma_density,
-    neighbor_sum,
     worst_residual,
 )
 
 __all__ = [
     "PminResult",
     "PerronRound",
-    "GlueResult",
     "SupersolutionFamily",
     "solve_ma_exponential",
-    "solve_ma_exponential_local",
-    "solve_two_measure",
     "pmin_compose",
     "supersolution_check",
     "subsolution_check",
     "perron_solve",
-    "glue_supersolution",
 ]
 
 
@@ -87,81 +73,6 @@ def solve_ma_exponential(
         tol=tol,
         max_iter=max_iter,
     )
-    return GridField(grid, phi), report
-
-
-def solve_ma_exponential_local(
-    theta: ThetaDensity,
-    mu: MeasureDensity,
-    region_mask: np.ndarray,
-    boundary: GridField,
-    beta: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 80,
-):
-    """Dirichlet variant: solve the exponential equation on masked sites only.
-
-    Off-mask sites keep the values of ``boundary``; the Newton matrix
-    restricted to the mask is an M-matrix regardless of mu there, so the
-    local problem is well posed even where the measure vanishes.
-    """
-    grid = theta.grid
-    mask = np.asarray(region_mask, dtype=bool)
-    if mask.shape != (grid.n, grid.n):
-        raise ValueError("region mask shape mismatch")
-    if not mask.any():
-        raise ValueError("region mask selects no sites")
-    zero = np.zeros((grid.n, grid.n))
-    phi, report = newton_semilinear(
-        theta.density.values,
-        [(float(beta), zero, mu.density.values)],
-        boundary.values,
-        tol=tol,
-        max_iter=max_iter,
-        free_mask=mask,
-    )
-    return GridField(grid, phi), report
-
-
-def solve_two_measure(
-    theta: ThetaDensity,
-    u: GridField,
-    v: GridField,
-    beta: float,
-    tol: float = 1e-10,
-    max_iter: int = 120,
-):
-    """Solve theta + curvature(phi) = e^{beta(phi-u)} ma_+(u) + e^{beta(phi-v)} ma_+(v).
-
-    The Monge-Ampère densities of u and v are clipped at zero so the data
-    stays nonnegative (discrete curvature of a merely tol-admissible field
-    can dip slightly below zero).  Large beta is reached by a geometric
-    continuation with warm starts; the limit is the envelope of min(u, v).
-
-    Returns ``(GridField, SolverReport)`` for the final beta.  Raises
-    :class:`DegenerateData` when both clipped densities vanish identically.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    grid = theta.grid
-    a = np.maximum(ma_density(theta, u).values, 0.0)
-    b = np.maximum(ma_density(theta, v).values, 0.0)
-    if a.max() == 0.0 and b.max() == 0.0:
-        raise DegenerateData("both Monge-Ampère densities vanish identically")
-
-    betas = [float(beta)]
-    while betas[0] > 16.0:
-        betas.insert(0, betas[0] / 4.0)
-    phi = np.minimum(u.values, v.values) - np.log(2.0) / betas[0]
-    report = None
-    for bk in betas:
-        phi, report = newton_semilinear(
-            theta.density.values,
-            [(bk, u.values, a), (bk, v.values, b)],
-            phi,
-            tol=tol,
-            max_iter=max_iter,
-        )
     return GridField(grid, phi), report
 
 
@@ -330,57 +241,3 @@ def perron_solve(
         gap=history[-1].equation_residual,
         best=current,
     )
-
-
-# ---------------------------------------------------------------------------
-# gluing a local supersolution into a global one
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GlueResult:
-    envelope: GridField
-    spliced: GridField
-    check: Residual
-    ring_min: float
-
-
-def glue_supersolution(
-    theta: ThetaDensity,
-    u_global: GridField,
-    v_local: GridField,
-    region_mask: np.ndarray,
-    mu: MeasureDensity,
-    trace_tol: float = 1e-8,
-    psor_tol: float = 1e-10,
-    check_tol: float = 1e-7,
-) -> GlueResult:
-    """Splice v_local over the masked region into u_global and re-envelope.
-
-    The trace condition v_local >= u_global on the region's inner boundary
-    ring is required (:class:`BoundaryTraceViolation` otherwise); it makes
-    the splice lower-semicontinuous from inside, so its envelope remains a
-    supersolution.  The returned check reports the supersolution residual of
-    the envelope.
-    """
-    grid = theta.grid
-    mask = np.asarray(region_mask, dtype=bool)
-    if mask.shape != (grid.n, grid.n):
-        raise ValueError("region mask shape mismatch")
-    if not mask.any():
-        raise ValueError("region mask selects no sites")
-
-    ring = mask & (neighbor_sum((~mask).astype(float)) > 0)
-    if ring.any():
-        ring_min = float((v_local.values - u_global.values)[ring].min())
-        if ring_min < -trace_tol:
-            raise BoundaryTraceViolation(
-                f"local field undercuts the global one by {-ring_min:.3e} on the boundary ring"
-            )
-    else:
-        ring_min = float("inf")
-
-    spliced = GridField(grid, np.where(mask, v_local.values, u_global.values))
-    env = psor_envelope(theta, spliced, tol=psor_tol).u
-    check = supersolution_check(theta, env, mu, check_tol)
-    return GlueResult(env, spliced, check, ring_min)

@@ -29,10 +29,6 @@ class EmptySupport(MaenvError):
     """A measure with empty support was passed where a nontrivial one is required."""
 
 
-class DegenerateData(MaenvError):
-    """Problem data degenerate enough that the equation has no meaningful solution."""
-
-
 class NoSubsolution(MaenvError):
     """The provided candidate fails the subsolution check required by the method."""
 
@@ -44,10 +40,6 @@ class FamilyExhausted(MaenvError):
         super().__init__(message)
         self.gap = gap
         self.best = best
-
-
-class BoundaryTraceViolation(MaenvError):
-    """Local candidate drops below the global one on the gluing boundary ring."""
 
 
 class InfeasibleMask(MaenvError):

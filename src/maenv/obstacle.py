@@ -69,8 +69,7 @@ class ObstacleSolution:
 
 def _natural_residual(u, hproj, theta, h):
     w = theta + curvature_values(u, h)
-    gap = hproj - u
-    return float(np.abs(np.minimum(gap, w)).max()), w
+    return float(np.abs(np.minimum(hproj - u, w)).max())
 
 
 def _refresh_ghosts(padded: np.ndarray) -> None:
@@ -144,11 +143,11 @@ def _psor_values(theta, hproj, tol, max_iter, init):
                 np.minimum(s, hp, out=sites)
         sweeps += 1
         if sweeps % check_every == 0 or sweeps == max_iter:
-            res, _ = _natural_residual(u, hproj, theta, h)
+            res = _natural_residual(u, hproj, theta, h)
             history.append(res)
             if res <= tol:
                 return u.copy(), sweeps, res, history, True
-    res, _ = _natural_residual(u, hproj, theta, h)
+    res = _natural_residual(u, hproj, theta, h)
     history.append(res)
     return u.copy(), sweeps, res, history, False
 
@@ -212,10 +211,7 @@ def envelope_mu(
     tol: float = 1e-9,
 ) -> ObstacleSolution:
     """Envelope of v with the constraint u <= v imposed only on supp(mu)."""
-    mask = mu.support_mask
-    if not mask.any():
-        raise EmptySupport("measure support is empty")
-    return psor_envelope(theta, v, tol=tol, constraint_mask=mask)
+    return psor_envelope(theta, v, tol=tol, constraint_mask=mu.support_mask)
 
 
 # ---------------------------------------------------------------------------

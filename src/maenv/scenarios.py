@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__
 from .energy import (
+    EXACT_CAPACITY_LIMIT,
     capacity,
     cap_convergence_metric,
     extremal_field,
@@ -272,6 +273,9 @@ def _check_ranges(name: str, params: dict) -> None:
             "n",
             f"a multiple of {step} and >= {4 * step} for scenario {name!r}",
         )
+        if name == "capacity-sandwich":
+            # every mask's capacity is the exact linear program
+            require(params["n"] <= EXACT_CAPACITY_LIMIT, "n", f"<= {EXACT_CAPACITY_LIMIT} for scenario {name!r}")
     if "dims" in params:
         require(all(d >= 1 and d.is_integer() for d in params["dims"]), "dims", "positive integers")
     if "t_min" in params:

@@ -32,7 +32,6 @@ from .torus import (
     equation_defect,
     inf_convolution,
     integrate,
-    is_theta_psh,
     ma_density,
     worst_residual,
 )
@@ -40,10 +39,8 @@ from .torus import (
 __all__ = [
     "PipelineResult",
     "check_supersolution_visc",
-    "check_subsolution_visc",
     "supersolution_envelope_pipeline",
     "mass_bound_check",
-    "refined_semicontinuity_check",
 ]
 
 
@@ -76,29 +73,6 @@ def check_supersolution_visc(
     lhs = np.maximum(ma_density(theta, v_reg).values, 0.0)
     rhs = f.values * (np.exp(v_reg.values) if exponential else 1.0)
     return worst_residual(lhs - rhs, tol), float(inactive.mean())
-
-
-def check_subsolution_visc(
-    theta: ThetaDensity,
-    u: GridField,
-    f: GridField,
-    tol: float = 1e-8,
-    psh_tol: float = 1e-8,
-    exponential: bool = True,
-) -> Residual:
-    """Test theta + curvature(u) >= e^u f - tol, gated on u being theta-psh.
-
-    Subsolutions of the degenerate equation are admissible potentials by
-    definition, so a field failing the admissibility check fails here no
-    matter how the inequality comes out: the admissibility residual (at
-    ``psh_tol``) is returned instead.
-    """
-    _validate_weight(f)
-    psh = is_theta_psh(theta, u, psh_tol)
-    if not psh.passed:
-        return psh
-    rhs = f.values * (np.exp(u.values) if exponential else 1.0)
-    return worst_residual(rhs - ma_density(theta, u).values, tol)
 
 
 @dataclass
@@ -147,24 +121,3 @@ def mass_bound_check(theta: ThetaDensity, f: GridField, tol: float = 1e-12) -> b
     """
     _validate_weight(f)
     return bool(integrate(f) >= theta.total_mass - tol)
-
-
-def refined_semicontinuity_check(v: GridField, tol: float = 1e-8) -> bool:
-    """Flag isolated downward spikes: v(a) must not undercut all 8 neighbors.
-
-    Supersolutions normalized by their essential lower limits satisfy
-    v(a) >= liminf_{x -> a, x != a} v(x); on the grid the punctured-
-    neighborhood liminf is the minimum over the 8 surrounding sites, so a
-    site sitting strictly below all of them violates the normalization.
-    """
-    vals = v.values
-    osc = float(vals.max() - vals.min())
-    neighbor_min = np.full_like(vals, np.inf)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            np.minimum(
-                neighbor_min, np.roll(np.roll(vals, dx, 0), dy, 1), out=neighbor_min
-            )
-    return bool(np.all(vals >= neighbor_min - tol * (1.0 + osc)))

@@ -20,7 +20,6 @@ from decimal import Decimal, getcontext
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import simpson
 from scipy.ndimage import convolve
 
 from maenv._newton import _EXP_CAP, SolverReport
@@ -325,23 +324,6 @@ def capacity_subset_ascent(theta, mask, seeds=10, sample=40, psor_tol=1e-9):
                     break
         finals.append(best)
     return finals
-
-
-def energy_path_quadrature(theta, u, v, samples=9):
-    """E(u) - E(v) as the path integral int_0^1 <u-v, ma(v + s(u-v))> ds,
-    evaluated by Simpson quadrature in s (exact for this quadratic energy)."""
-    from maenv.torus import GridField, integrate, ma_density
-
-    grid = theta.grid
-    diff = u.values - v.values
-    s_nodes = np.linspace(0.0, 1.0, samples)
-    integrand = [
-        integrate(
-            GridField(grid, diff * ma_density(theta, GridField(grid, v.values + s * diff)).values)
-        )
-        for s in s_nodes
-    ]
-    return float(simpson(integrand, x=s_nodes))
 
 
 _STENCIL = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])

@@ -123,6 +123,7 @@ class TestConfigParsing:
             ("scenario = penalized-convergence\nobstacle_x0 = 0.9\n", "obstacle_x0"),
             ("scenario = penalized-convergence\nobstacle_x1 = 1.5\n", "obstacle_x1"),
             ("scenario = capacity-sandwich\nt_values = -1\n", "t_values"),
+            ("scenario = capacity-sandwich\nn = 66\n", "'n'"),
             ("scenario = extremal-contact\ntheta_base = 0\n", "theta_base"),
             ("scenario = orthogonality\nseed = -1\n", "seed"),
         ],

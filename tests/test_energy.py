@@ -1,4 +1,4 @@
-"""Energy functional, I_p pairings, capacities, and convergence certificates."""
+"""I_p pairings, capacities, and convergence certificates."""
 
 import numpy as np
 import pytest
@@ -8,30 +8,21 @@ from maenv import (
     ThetaDensity,
     TorusGrid,
     constant_field,
-    field_from_function,
     is_theta_psh,
-    psor_envelope,
 )
 from maenv.energy import (
     EXACT_CAPACITY_LIMIT,
     cap_convergence_metric,
     capacity,
-    energy_E,
     energy_Ip,
     extremal_field,
     generalized_capacity,
     quasi_triangle_check,
-    tail_inf_envelopes,
 )
 from maenv.errors import InfeasibleMask, OrderViolation
-from maenv.torus import curvature_values, integrate
+from maenv.torus import curvature_values
 
-from oracles import (
-    capacity_subset_ascent,
-    energy_path_quadrature,
-    ip_pairing_quadrature,
-    periodic_second_difference,
-)
+from oracles import capacity_subset_ascent, ip_pairing_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -61,55 +52,6 @@ def random_psh(theta, rng, amp=0.04):
     u = GridField(grid, vals)
     assert is_theta_psh(theta, u).passed
     return u
-
-
-class TestEnergyFunctional:
-    def test_extremal_field_has_zero_energy(self, theta_one):
-        v = extremal_field(theta_one)
-        assert energy_E(theta_one, v, v_theta=v) == 0.0
-
-    def test_translation_by_constant(self, grid, theta_one):
-        v = extremal_field(theta_one)
-        u = GridField(grid, v.values - 0.8)
-        assert abs(energy_E(theta_one, u, v_theta=v) - (-0.8)) < 1e-12
-
-    def test_cosine_closed_form(self, grid, theta_one):
-        # for theta = 1 the extremal field is 0 and E(eps*cos) reduces to the
-        # discrete symbol: -0.25 * c_h * eps^2 with c_h the stencil eigenvalue
-        eps = 0.05
-        u = field_from_function(grid, lambda x, y: eps * np.cos(2 * np.pi * x))
-        h = grid.h
-        c_h = (2.0 - 2.0 * np.cos(2 * np.pi * h)) / (2 * np.pi * h**2)
-        got = energy_E(theta_one, u)
-        assert abs(got - (-0.25 * c_h * eps**2)) < 1e-12
-        # the matrix oracle gives the same eigenvalue on the cosine mode
-        mat = periodic_second_difference(grid.n)
-        mode = np.cos(2 * np.pi * np.arange(grid.n) / grid.n)
-        assert np.abs(mat @ mode + c_h * mode).max() < 1e-10
-
-    def test_path_quadrature_oracle(self, grid, theta_one):
-        rng = np.random.default_rng(3)
-        u = random_psh(theta_one, rng)
-        v = random_psh(theta_one, rng)
-        direct = energy_E(theta_one, u) - energy_E(theta_one, v)
-        path = energy_path_quadrature(theta_one, u, v)
-        assert abs(direct - path) < 1e-10
-
-    def test_concavity_along_segments(self, theta_one):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            u = random_psh(theta_one, rng)
-            w = random_psh(theta_one, rng)
-            eu, ew = energy_E(theta_one, u), energy_E(theta_one, w)
-            for lam in (0.25, 0.5, 0.75):
-                mid = GridField(u.grid, lam * u.values + (1 - lam) * w.values)
-                assert energy_E(theta_one, mid) >= lam * eu + (1 - lam) * ew - 1e-10
-
-    def test_monotone_in_the_field(self, grid, theta_one):
-        rng = np.random.default_rng(11)
-        u = random_psh(theta_one, rng)
-        above = GridField(grid, u.values + 0.3)
-        assert energy_E(theta_one, above) > energy_E(theta_one, u)
 
 
 class TestIpPairing:
@@ -337,39 +279,3 @@ class TestConvergenceInCapacity:
         vals = cap_convergence_metric(theta_one, seq, u, eps=5e-2)
         assert vals[0] > 0.0
         assert vals[1] == 0.0 and vals[2] == 0.0
-
-
-class TestTailInfEnvelopes:
-    def test_constant_sequence_fixed(self, theta_one):
-        rng = np.random.default_rng(16)
-        u = random_psh(theta_one, rng)
-        envs = tail_inf_envelopes(theta_one, [u] * 4)
-        for e in envs:
-            assert np.abs(e.values - u.values).max() < 1e-12
-
-    def test_constant_deficits_pass_through(self, grid, theta_one):
-        rng = np.random.default_rng(17)
-        u = random_psh(theta_one, rng)
-        seq = [GridField(grid, u.values - 2.0**-k) for k in range(6)]
-        envs = tail_inf_envelopes(theta_one, seq)
-        for j, e in enumerate(envs):
-            assert np.abs(e.values - (u.values - 2.0**-j)).max() < 1e-9
-
-    def test_shrinking_oscillations_recover_the_limit(self, grid, theta_one):
-        # u_k = u + 2^-k cos(2 pi (k+1) x) projected back to admissible;
-        # the tail-inf envelopes must rise to u within the 2^-j budget
-        rng = np.random.default_rng(18)
-        u = random_psh(theta_one, rng, amp=0.02)
-        seq = []
-        for k in range(11):
-            bump = field_from_function(
-                grid, lambda x, y, k=k: 2.0**-k * np.cos(2 * np.pi * (k + 1) * x)
-            )
-            cand = GridField(grid, u.values + bump.values)
-            seq.append(psor_envelope(theta_one, cand, tol=1e-10).u)
-        envs = tail_inf_envelopes(theta_one, seq)
-        dists = [np.abs(e.values - u.values).max() for e in envs]
-        for a, b in zip(dists, dists[1:]):
-            assert b <= a + 1e-9
-        assert dists[10] < 1e-2
-

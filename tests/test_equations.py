@@ -1,4 +1,4 @@
-"""Exponential Monge-Ampère solves, min-composition, Perron folding, gluing."""
+"""Exponential Monge-Ampère solves, min-composition, Perron folding."""
 
 import numpy as np
 import pytest
@@ -13,25 +13,17 @@ from maenv import (
     constant_field,
     field_from_function,
     ma_density,
-    psor_envelope,
     solve_ma_exponential,
-    solve_two_measure,
 )
 from maenv._newton import newton_semilinear
 from maenv.equations import (
     SupersolutionFamily,
-    glue_supersolution,
     perron_solve,
     pmin_compose,
-    solve_ma_exponential_local,
     subsolution_check,
     supersolution_check,
 )
-from maenv.errors import (
-    BoundaryTraceViolation,
-    FamilyExhausted,
-    NoSubsolution,
-)
+from maenv.errors import FamilyExhausted, NoSubsolution
 from maenv.obstacle import PenalizationSchedule, penalized_envelope
 from maenv.torus import MeasureDensity
 from maenv.torus import integrate
@@ -94,38 +86,6 @@ class TestExponentialSolve:
     def test_beta_validation(self, theta_one, mu_one):
         with pytest.raises(ValueError):
             solve_ma_exponential(theta_one, mu_one, beta=0.0)
-
-
-class TestTwoMeasureSolve:
-    def test_equal_inputs_reduce_to_single_measure(self, grid, theta_one):
-        u = field_from_function(grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x))
-        phi_two, _ = solve_two_measure(theta_one, u, u, beta=1.0)
-        data = 2.0 * np.maximum(ma_density(theta_one, u).values, 0.0) * np.exp(-u.values)
-        mu = MeasureDensity(GridField(grid, data))
-        phi_one, _ = solve_ma_exponential(theta_one, mu, beta=1.0)
-        assert np.abs(phi_two.values - phi_one.values).max() < 1e-10
-
-    def test_constant_inputs_soft_min_closed_form(self, grid, theta_one):
-        a, b = -0.3, 0.1
-        for beta in (1.0, 8.0):
-            phi, _ = solve_two_measure(
-                theta_one, constant_field(grid, a), constant_field(grid, b), beta=beta
-            )
-            closed = -np.log(np.exp(-beta * a) + np.exp(-beta * b)) / beta
-            assert np.abs(phi.values - closed).max() < 1e-10
-
-    def test_large_beta_approaches_min_envelope(self, grid, theta_one):
-        u = field_from_function(grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x))
-        v = field_from_function(grid, lambda x, y: 0.05 * np.sin(2 * np.pi * (x + y)) - 0.01)
-        phi, _ = solve_two_measure(theta_one, u, v, beta=float(2**14))
-        pm = pmin_compose(theta_one, u, v)
-        assert np.abs(phi.values - pm.phi.values).max() < 1e-2
-        assert (phi.values - np.minimum(u.values, v.values)).max() < 1e-3
-
-    def test_beta_validation(self, grid, theta_one):
-        u = constant_field(grid, 0.0)
-        with pytest.raises(ValueError):
-            solve_two_measure(theta_one, u, u, beta=-1.0)
 
 
 class TestMinComposition:
@@ -248,67 +208,6 @@ class TestPerron:
         assert exc.value.gap > 0
 
 
-class TestGluing:
-    @staticmethod
-    def disk_mask(n, radius2=0.04):
-        xs = np.arange(n) / n
-        return ((xs[:, None] - 0.5) ** 2 + (xs[None, :] - 0.5) ** 2) < radius2
-
-    @staticmethod
-    def erode(mask, rounds):
-        out = mask.copy()
-        for _ in range(rounds):
-            out = (
-                out
-                & np.roll(out, 1, 0)
-                & np.roll(out, -1, 0)
-                & np.roll(out, 1, 1)
-                & np.roll(out, -1, 1)
-            )
-        return out
-
-    def test_identical_local_field_is_a_fixed_point(self, grid, theta_one, mu_one, phi_exact):
-        mask = self.disk_mask(grid.n)
-        res = glue_supersolution(theta_one, phi_exact, phi_exact, mask, mu_one)
-        assert np.abs(res.envelope.values - phi_exact.values).max() == 0.0
-        assert res.check.passed
-
-    def test_local_resolve_glues_to_a_supersolution(self, grid, theta_one, mu_one):
-        # solve the same equation on an eroded disk with a constant strict
-        # supersolution as boundary data: the local field dips strictly below
-        # it inside, matches it on the region's boundary ring, and the glued
-        # envelope stays a supersolution
-        mask = self.disk_mask(grid.n)
-        inner = self.erode(mask, 2)
-        u_global = constant_field(grid, 0.3)
-        assert supersolution_check(theta_one, u_global, mu_one, 1e-10).passed
-        local, _ = solve_ma_exponential_local(theta_one, mu_one, inner, u_global, beta=1.0)
-        assert (local.values < 0.3 - 1e-3).any()
-        res = glue_supersolution(theta_one, u_global, local, mask, mu_one)
-        assert res.ring_min == 0.0
-        assert res.check.passed
-        assert res.check.value < 1e-7
-
-    def test_boundary_undercut_rejected(self, grid, theta_one, mu_one, phi_exact):
-        mask = self.disk_mask(grid.n)
-        bad = GridField(grid, phi_exact.values - 0.5)
-        with pytest.raises(BoundaryTraceViolation):
-            glue_supersolution(theta_one, phi_exact, bad, mask, mu_one)
-
-    def test_full_mask_reduces_to_plain_envelope(self, grid, theta_one, mu_one, phi_exact):
-        full = np.ones((grid.n, grid.n), bool)
-        v = field_from_function(grid, lambda x, y: 0.3 + 0.05 * np.cos(2 * np.pi * y))
-        res = glue_supersolution(theta_one, phi_exact, v, full, mu_one)
-        plain = psor_envelope(theta_one, v, tol=1e-10)
-        assert np.abs(res.envelope.values - plain.u.values).max() == 0.0
-
-    def test_empty_mask_rejected(self, grid, theta_one, mu_one, phi_exact):
-        with pytest.raises(ValueError):
-            glue_supersolution(
-                theta_one, phi_exact, phi_exact, np.zeros((grid.n, grid.n), bool), mu_one
-            )
-
-
 class TestNewtonMatchesDirectReference:
     """Each Newton call of a solve, repeated with one sparse LU per step.
 
@@ -320,15 +219,18 @@ class TestNewtonMatchesDirectReference:
     N = 32
 
     @staticmethod
-    def calls_against_reference(monkeypatch, module):
+    def both(*args, **kwargs):
+        return newton_semilinear(*args, **kwargs), newton_direct_reference(*args, **kwargs)
+
+    @classmethod
+    def calls_against_reference(cls, monkeypatch, module):
         pairs = []
 
-        def both(*args, **kwargs):
-            out = newton_semilinear(*args, **kwargs)
-            pairs.append((out, newton_direct_reference(*args, **kwargs)))
-            return out
+        def record(*args, **kwargs):
+            pairs.append(cls.both(*args, **kwargs))
+            return pairs[-1][0]
 
-        monkeypatch.setattr(module, "newton_semilinear", both)
+        monkeypatch.setattr(module, "newton_semilinear", record)
         return pairs
 
     @staticmethod
@@ -372,24 +274,43 @@ class TestNewtonMatchesDirectReference:
             solve_ma_exponential(theta, mu, beta=beta)
         self.assert_match(pairs)
 
-    def test_two_measure_solve(self, monkeypatch):
+    def test_two_measure_solve(self):
+        # theta + curvature(phi) = sum over w in (u, v) of e^{beta(phi - w)} ma_+(w),
+        # continued in beta up to 2**10 with warm starts: two terms per call
         grid = TorusGrid(self.N)
         theta = ThetaDensity(constant_field(grid, 1.0))
         u = field_from_function(grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x))
         v = field_from_function(grid, lambda x, y: 0.05 * np.sin(2 * np.pi * (x + y)) - 0.01)
-        pairs = self.calls_against_reference(monkeypatch, maenv.equations)
-        solve_two_measure(theta, u, v, beta=float(2**10))
+        a = np.maximum(ma_density(theta, u).values, 0.0)
+        b = np.maximum(ma_density(theta, v).values, 0.0)
+        phi = np.minimum(u.values, v.values) - np.log(2.0) / 16.0
+        pairs = []
+        for beta in (16.0, 64.0, 256.0, 1024.0):
+            terms = [(beta, u.values, a), (beta, v.values, b)]
+            pairs.append(self.both(theta.density.values, terms, phi, tol=1e-10, max_iter=120))
+            (phi, _), _ = pairs[-1]
         assert len(pairs) > 1
         self.assert_match(pairs)
 
-    def test_local_solve(self, monkeypatch):
-        grid = TorusGrid(self.N)
+    def test_local_solve(self):
+        # Dirichlet data 0.3 off an eroded disk; only the disk's sites are unknowns
+        n = self.N
+        grid = TorusGrid(n)
         theta = ThetaDensity(constant_field(grid, 1.0))
-        mu = MeasureDensity(field_from_function(grid, lambda x, y: np.maximum(np.cos(2 * np.pi * x), 0.0)))
-        mask = TestGluing.erode(TestGluing.disk_mask(self.N, radius2=0.1), 1)
-        pairs = self.calls_against_reference(monkeypatch, maenv.equations)
-        solve_ma_exponential_local(theta, mu, mask, constant_field(grid, 0.3), beta=4.0)
-        self.assert_match(pairs)
+        mu = field_from_function(grid, lambda x, y: np.maximum(np.cos(2 * np.pi * x), 0.0))
+        xs = np.arange(n) / n
+        disk = ((xs[:, None] - 0.5) ** 2 + (xs[None, :] - 0.5) ** 2) < 0.1
+        mask = disk & np.roll(disk, 1, 0) & np.roll(disk, -1, 0) & np.roll(disk, 1, 1) & np.roll(disk, -1, 1)
+        terms = [(4.0, np.zeros((n, n)), mu.values)]
+        pair = self.both(
+            theta.density.values,
+            terms,
+            constant_field(grid, 0.3).values,
+            tol=1e-10,
+            max_iter=80,
+            free_mask=mask,
+        )
+        self.assert_match([pair])
 
     def test_refactor_fallback(self, monkeypatch):
         # a CG cap of one iteration misses the tolerance, so every later

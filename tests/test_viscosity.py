@@ -15,10 +15,8 @@ from maenv.equations import supersolution_check
 from maenv.errors import InputNotSupersolution
 from maenv.torus import MeasureDensity
 from maenv.viscosity import (
-    check_subsolution_visc,
     check_supersolution_visc,
     mass_bound_check,
-    refined_semicontinuity_check,
     supersolution_envelope_pipeline,
 )
 
@@ -72,28 +70,6 @@ class TestSupersolutionCheck:
             visc = check_supersolution_visc(theta, v, f)[0].passed
             pluri = supersolution_check(theta, v, mu, 1e-8).passed
             assert visc == pluri == (shift > 0)
-
-
-class TestSubsolutionCheck:
-    def test_exact_solution_passes(self, setup):
-        grid, theta, f, phi = setup
-        rep = check_subsolution_visc(theta, phi, f)
-        assert rep.passed
-        assert abs(rep.value) < 1e-10
-
-    def test_shift_down_is_a_subsolution(self, setup):
-        grid, theta, f, phi = setup
-        assert check_subsolution_visc(theta, GridField(grid, phi.values - 1.0), f).passed
-        assert not check_subsolution_visc(theta, GridField(grid, phi.values + 1.0), f).passed
-
-    def test_admissibility_gate_overrides_the_inequality(self, setup):
-        # an upward spike breaks theta-psh-ness; even with the differential
-        # inequality tolerance wide open the report must fail
-        grid, theta, f, phi = setup
-        spiked = phi.values.copy()
-        spiked[5, 5] += 0.5
-        rep = check_subsolution_visc(theta, GridField(grid, spiked), f, tol=100.0, psh_tol=1e-8)
-        assert not rep.passed
 
 
 class TestPipeline:
@@ -174,35 +150,3 @@ class TestMassBound:
                 theta, GridField(grid, vals), f_half, exponential=False
             )
             assert not rep.passed
-
-
-class TestRefinedSemicontinuity:
-    def test_smooth_field_passes(self, setup):
-        grid, theta, f, phi = setup
-        assert refined_semicontinuity_check(phi)
-        assert refined_semicontinuity_check(
-            field_from_function(grid, lambda x, y: 0.1 * np.cos(2 * np.pi * x))
-        )
-
-    def test_single_downward_spike_fails(self, setup):
-        grid, theta, f, phi = setup
-        spiked = phi.values.copy()
-        spiked[10, 10] -= 1.0
-        assert not refined_semicontinuity_check(GridField(grid, spiked))
-
-    def test_thin_sets_split_by_clustering(self, setup):
-        # -1 on a connected line clusters at each of its points and passes;
-        # -1 on isolated sites is exactly the forbidden spike pattern
-        grid, theta, f, phi = setup
-        n = grid.n
-        column = np.zeros((n, n))
-        column[5, :] = -1.0
-        assert refined_semicontinuity_check(GridField(grid, column))
-        diagonal = np.zeros((n, n))
-        idx = np.arange(n)
-        diagonal[idx, idx] = -1.0
-        assert refined_semicontinuity_check(GridField(grid, diagonal))
-        sparse = np.zeros((n, n))
-        idx4 = np.arange(0, n, 4)
-        sparse[idx4, idx4] = -1.0
-        assert not refined_semicontinuity_check(GridField(grid, sparse))
