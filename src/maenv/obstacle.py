@@ -10,7 +10,9 @@ Two independent routes to the same envelope:
   min(h).  The problem's matrix is an M-matrix, so its solution does not
   depend on the start: it is the largest theta-psh field below the
   obstacle h (constraints optionally imposed only on a mask, which yields
-  the envelope relative to a measure that vanishes elsewhere).
+  the envelope relative to a measure that vanishes elsewhere).  The sweep
+  stores each colour's sites as one contiguous vector and gathers a
+  colour's neighbour sums from the other colour by one sparse product.
 
 * :func:`penalized_step` solves the smooth penalized equation
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._newton import SolverReport, newton_semilinear
 from .errors import EmptySupport, NonConvergence
@@ -68,88 +71,107 @@ class ObstacleSolution:
 
 
 def _natural_residual(u, hproj, theta, h):
-    w = theta + curvature_values(u, h)
-    return float(np.abs(np.minimum(hproj - u, w)).max())
+    w = curvature_values(u, h)
+    w += theta
+    gap = hproj - u
+    np.minimum(gap, w, out=gap)
+    np.abs(gap, out=gap)
+    return float(gap.max())
 
 
-def _refresh_ghosts(padded: np.ndarray) -> None:
-    """Copy the periodic wrap of the interior into the one-site ghost layer."""
-    padded[0, 1:-1] = padded[-2, 1:-1]
-    padded[-1, 1:-1] = padded[1, 1:-1]
-    padded[1:-1, 0] = padded[1:-1, -2]
-    padded[1:-1, -1] = padded[1:-1, 1]
+def _colour_blocks(grid, vectors):
+    """Matching views of a grid's sites and of the two colour vectors.
 
-
-def _quarter_lattice(padded, ctheta, hproj, a, b):
-    """Strided views for the sites (i, j) with i = a, j = b (mod 2).
-
-    Returns the site view, its four neighbour views in the order i-1, i+1,
-    j-1, j+1, and the matching ctheta and hproj slices.
+    Colour c holds the sites (i, j) with i + j = c (mod 2), n/2 to a row, in
+    row-major order.  Returns (grid view, vector view) pairs, one per colour
+    and row parity.
     """
-    n = ctheta.shape[0]
+    n = grid.shape[0]
+    g = grid.reshape(n // 2, 2, n // 2, 2)
+    v = vectors.reshape(2, n // 2, 2, n // 2)
+    return [(g[:, p, :, (p + c) % 2], v[c, :, p, :]) for c in (0, 1) for p in (0, 1)]
 
-    def span(p, lo):
-        return slice(p + lo, n + lo, 2)
 
-    sites = padded[span(a, 1), span(b, 1)]
-    neighbours = (
-        padded[span(a, 0), span(b, 1)],
-        padded[span(a, 2), span(b, 1)],
-        padded[span(a, 1), span(b, 0)],
-        padded[span(a, 1), span(b, 2)],
-    )
-    return sites, neighbours, ctheta[a::2, b::2], hproj[a::2, b::2]
+def _colour_gathers(n):
+    """Sparse neighbour sums from one colour's vector to the other's sites.
+
+    Row r of operator c sums, with unit weights and in the order i-1, i+1,
+    j-1, j+1, the four neighbours of colour c's r-th site, which all have
+    the other colour.  Both operators share one data and one indptr array.
+    """
+    m = n // 2
+    i = np.arange(n, dtype=np.int32)[:, None]
+    k = np.arange(m, dtype=np.int32)[None, :]
+    rows = m * n
+    data = np.ones(4 * rows)
+    indptr = np.arange(0, 4 * rows + 1, 4, dtype=np.int32)
+    gathers = []
+    for c in (0, 1):
+        p = (i + c) % 2  # column parity of the colour's sites in row i
+        idx = np.empty((n, m, 4), dtype=np.int32)
+        idx[..., 0] = (i - 1) % n * m + k
+        idx[..., 1] = (i + 1) % n * m + k
+        idx[..., 2] = i * m + (k - 1 + p) % m
+        idx[..., 3] = i * m + (k + p) % m
+        gathers.append(sp.csr_matrix((data, idx.ravel(), indptr), shape=(rows, rows)))
+    return gathers
 
 
 def _psor_values(theta, hproj, tol, max_iter, init):
-    """Red-black projected SOR on a ghost-padded copy of the iterate.
+    """Red-black projected SOR on the iterate stored as two colour vectors.
 
-    Each half-sweep relaxes only the sites of its colour, as two
-    quarter-lattices updated in place through strided views.  A colour's
-    neighbours all have the other colour, so this is the same Jacobi step per
-    colour as relaxing the whole grid and keeping that colour, with the same
-    floating-point operations in the same order.  The relaxation factor is
-    the optimal one for the periodic Laplacian, 2 / (1 + sin(pi h)).
+    Each colour's n^2/2 sites form one contiguous vector, and a half-sweep
+    gathers a colour's neighbour sums from the other colour's vector by one
+    sparse product, then relaxes the colour in place.  A colour's neighbours
+    all have the other colour, so this is the same Jacobi step per colour as
+    relaxing the whole grid and keeping that colour; the sparse product adds
+    each row's entries from 0.0 in the order i-1, i+1, j-1, j+1, so every
+    floating-point operation happens in the same order as in the whole-grid
+    sweep.  The relaxation factor is the optimal one for the periodic
+    Laplacian, 2 / (1 + sin(pi h)).
     """
     n = theta.shape[0]
     h = 1.0 / n
     omega = 2.0 / (1.0 + np.sin(np.pi * h))
-    ctheta = 2.0 * np.pi * h * h * theta
 
-    padded = np.empty((n + 2, n + 2))
-    u = padded[1:-1, 1:-1]
-    np.minimum(init, hproj, out=u)
-    colours = [
-        [_quarter_lattice(padded, ctheta, hproj, a, b) for a, b in quarters]
-        for quarters in (((0, 0), (1, 1)), ((0, 1), (1, 0)))
-    ]
-    s = np.empty((n // 2, n // 2))
+    x = np.empty((2, n * n // 2))
+    ct = np.empty_like(x)
+    hp = np.empty_like(x)
+    for grid, vectors in ((init, x), (theta, ct), (hproj, hp)):
+        for g, v in _colour_blocks(grid, vectors):
+            v[...] = g
+    ct *= 2.0 * np.pi * h * h
+    np.minimum(x, hp, out=x)
+    nbr = _colour_gathers(n)
+    u = np.empty((n, n))
+    blocks = _colour_blocks(u, x)
+
+    def residual():
+        for g, v in blocks:
+            g[...] = v
+        return _natural_residual(u, hproj, theta, h)
 
     history = []
     sweeps = 0
     check_every = 8
     while sweeps < max_iter:
-        for colour in colours:
-            _refresh_ghosts(padded)
-            for sites, (im, ip, jm, jp), ct, hp in colour:
-                np.add(im, ip, out=s)
-                s += jm
-                s += jp
-                s += ct
-                s *= 0.25
-                s -= sites
-                s *= omega
-                s += sites
-                np.minimum(s, hp, out=sites)
+        for c in (0, 1):
+            s = nbr[c] @ x[1 - c]
+            s += ct[c]
+            s *= 0.25
+            s -= x[c]
+            s *= omega
+            s += x[c]
+            np.minimum(s, hp[c], out=x[c])
         sweeps += 1
         if sweeps % check_every == 0 or sweeps == max_iter:
-            res = _natural_residual(u, hproj, theta, h)
+            res = residual()
             history.append(res)
             if res <= tol:
-                return u.copy(), sweeps, res, history, True
-    res = _natural_residual(u, hproj, theta, h)
+                return u, sweeps, res, history, True
+    res = residual()
     history.append(res)
-    return u.copy(), sweeps, res, history, False
+    return u, sweeps, res, history, False
 
 
 def psor_envelope(
@@ -174,7 +196,7 @@ def psor_envelope(
     if obstacle.grid.n != grid.n:
         raise ValueError("obstacle and theta grids differ")
     th = theta.density.values
-    hproj = obstacle.values.copy()
+    hproj = obstacle.values
     if constraint_mask is not None:
         mask = np.asarray(constraint_mask, dtype=bool)
         if mask.shape != hproj.shape:
@@ -185,7 +207,7 @@ def psor_envelope(
     else:
         mask = np.ones_like(hproj, dtype=bool)
 
-    u0 = np.full_like(hproj, float(hproj[mask].min()))
+    u0 = np.broadcast_to(float(hproj[mask].min()), hproj.shape)
     u, sweeps, res, history, ok = _psor_values(th, hproj, tol, max_iter, u0)
     report = SolverReport("psor", sweeps, res, ok, history)
     contact_tol = 1e-6 * (1.0 + float(np.abs(obstacle.values[mask]).max()))

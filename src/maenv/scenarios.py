@@ -298,7 +298,11 @@ def _check_ranges(name: str, params: dict) -> None:
 
 
 def read_config(path, scenario: str | None = None) -> ScenarioConfig:
-    return parse_config_text(Path(path).read_text(), scenario)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config_text(text, scenario)
 
 
 # ---------------------------------------------------------------------------

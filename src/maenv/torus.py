@@ -137,17 +137,25 @@ class MeasureDensity:
 
 def neighbor_sum(values: np.ndarray) -> np.ndarray:
     """Sum of the four periodic neighbours, in the order i-1, i+1, j-1, j+1."""
-    return (
-        np.roll(values, 1, axis=0)
-        + np.roll(values, -1, axis=0)
-        + np.roll(values, 1, axis=1)
-        + np.roll(values, -1, axis=1)
-    )
+    v = np.asarray(values)
+    out = np.empty(v.shape, dtype=v.dtype)
+    np.add(v[:-2], v[2:], out=out[1:-1])
+    np.add(v[-1], v[1], out=out[0])
+    np.add(v[-2], v[0], out=out[-1])
+    out[:, 1:] += v[:, :-1]
+    out[:, 0] += v[:, -1]
+    out[:, :-1] += v[:, 1:]
+    out[:, -1] += v[:, 0]
+    return out
 
 
 def curvature_values(values: np.ndarray, h: float) -> np.ndarray:
     """Five-point periodic Laplacian of the array divided by 2*pi."""
-    return (neighbor_sum(values) - 4.0 * values) / (h * h) / (2.0 * np.pi)
+    out = neighbor_sum(values)
+    out -= 4.0 * values
+    out /= h * h
+    out /= 2.0 * np.pi
+    return out
 
 
 def ma_density(theta: ThetaDensity, u: GridField) -> GridField:
@@ -206,14 +214,24 @@ def norms(u: GridField, v: GridField | None = None) -> dict:
     }
 
 
-def _minplus_pass(cost: np.ndarray, arr: np.ndarray, chunk: int = 32) -> np.ndarray:
-    # out[a, :] = min_b cost[a, b] + arr[b, :]
+def _minplus_pass(arr: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    # out[a, :] = min over periodic shifts s of cost[|s|] + arr[a + s, :].
+    # A shift with cost[s] + min(arr) >= max(arr) in floating point gives a
+    # candidate no smaller than arr[a, :] itself (rounding is monotone), so
+    # only the shifts inside that radius are tried; the minimum is the same
+    # as over every shift, bit for bit.
     n = arr.shape[0]
-    out = np.empty_like(arr)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = cost[start:stop, :, None] + arr[None, :, :]
-        out[start:stop] = block.min(axis=1)
+    radius = int(np.count_nonzero(cost[1:] + arr.min() < arr.max()))
+    out = arr.copy()
+    cand = np.empty_like(arr)
+    for s in range(1, radius + 1):
+        c = cost[s]
+        np.add(arr[s:], c, out=cand[: n - s])
+        np.add(arr[:s], c, out=cand[n - s :])
+        np.minimum(out, cand, out=out)
+        np.add(arr[: n - s], c, out=cand[s:])
+        np.add(arr[n - s :], c, out=cand[:s])
+        np.minimum(out, cand, out=out)
     return out
 
 
@@ -222,17 +240,17 @@ def inf_convolution(u: GridField, j: float) -> GridField:
 
     ``d`` is the periodic Euclidean distance.  The squared distance splits
     per axis, so the minimization is done in two one-dimensional passes.
-    The result is <= u, nondecreasing in j, and semiconcave with constant 2j.
+    Each pass tries only the shifts whose cost j * d^2 stays below the
+    spread max(u) - min(u) of its input; a farther point cannot beat the
+    site itself.  The result is <= u, nondecreasing in j, and semiconcave
+    with constant 2j.
     """
     if j <= 0:
         raise ValueError("penalty strength j must be positive")
     grid = u.grid
-    k = np.arange(grid.n)
-    dist = grid.h * np.minimum(k, grid.n - k)
-    shift = np.abs(k[:, None] - k[None, :])
-    cost = j * dist[np.minimum(shift, grid.n - shift)] ** 2
-    mid = _minplus_pass(cost, u.values)
-    out = _minplus_pass(cost, mid.T).T
+    cost = j * (grid.h * np.arange(grid.n // 2 + 1)) ** 2
+    mid = _minplus_pass(u.values, cost)
+    out = _minplus_pass(np.ascontiguousarray(mid.T), cost).T
     return GridField(grid, out)
 
 

@@ -5,12 +5,14 @@ checks: dense active-set linear algebra instead of projected relaxation,
 Fourier collocation instead of finite differences, brute-force search over
 affine minorants instead of hull construction, high-precision scalar
 arithmetic instead of float formulas.  Agreement is then evidence, not an
-identity.  Two exceptions keep the library's method and change only its
-mechanics: :func:`psor_sweeps_reference`, the plain whole-grid form of the
-library's projected SOR sweep, against which the optimized sweep must agree
-bit for bit, and :func:`newton_direct_reference`, damped Newton with a fresh
-sparse LU per step, against which the factorization-reusing Newton must agree
-to rounding.
+identity.  Some exceptions keep the library's method and change only its
+mechanics, so the optimized forms must agree with them bit for bit:
+:func:`psor_sweeps_reference`, the plain whole-grid form of the library's
+projected SOR sweep; :func:`roll_neighbor_sum`, the neighbour sum by
+``np.roll``; and :func:`inf_convolution_reference`, the inf-convolution by
+brute force over every shift.  :func:`newton_direct_reference`, damped Newton
+with a fresh sparse LU per step, must agree with the factorization-reusing
+Newton to rounding.
 """
 
 from __future__ import annotations
@@ -27,13 +29,38 @@ from maenv.errors import NewtonStall, NonConvergence
 from maenv.torus import laplacian_matrix
 
 
-def _roll_neighbor_sum(u):
+def roll_neighbor_sum(u):
+    """Sum of the four periodic neighbours, in the order i-1, i+1, j-1, j+1."""
     return (
         np.roll(u, 1, axis=0)
         + np.roll(u, -1, axis=0)
         + np.roll(u, 1, axis=1)
         + np.roll(u, -1, axis=1)
     )
+
+
+def _minplus_all_shifts(cost, arr, chunk=32):
+    # out[a, :] = min_b cost[a, b] + arr[b, :]
+    n = arr.shape[0]
+    out = np.empty_like(arr)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = cost[start:stop, :, None] + arr[None, :, :]
+        out[start:stop] = block.min(axis=1)
+    return out
+
+
+def inf_convolution_reference(values, j):
+    """min_z { u(z) + j * d(x, z)^2 } over every grid point z, as two passes
+    of a dense min-plus product with the periodic squared-distance cost."""
+    n = values.shape[0]
+    h = 1.0 / n
+    k = np.arange(n)
+    dist = h * np.minimum(k, n - k)
+    shift = np.abs(k[:, None] - k[None, :])
+    cost = j * dist[np.minimum(shift, n - shift)] ** 2
+    mid = _minplus_all_shifts(cost, values)
+    return _minplus_all_shifts(cost, mid.T).T
 
 
 def psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init):
@@ -56,7 +83,7 @@ def psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init):
     black = ~red
 
     def natural_residual(u):
-        w = theta + (_roll_neighbor_sum(u) - 4.0 * u) / (h * h) / (2.0 * np.pi)
+        w = theta + (roll_neighbor_sum(u) - 4.0 * u) / (h * h) / (2.0 * np.pi)
         return float(np.abs(np.minimum(hproj - u, w)).max())
 
     u = init.copy()
@@ -65,7 +92,7 @@ def psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init):
     sweeps = 0
     while sweeps < max_iter:
         for color in (red, black):
-            gs = 0.25 * (_roll_neighbor_sum(u) + ctheta)
+            gs = 0.25 * (roll_neighbor_sum(u) + ctheta)
             cand = u + omega * (gs - u)
             np.minimum(cand, hproj, out=cand)
             u[color] = cand[color]

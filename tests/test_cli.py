@@ -254,6 +254,20 @@ class TestCliRun:
         assert main(["run", "quasi-triangle", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 7
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_file_exits_two(self, tmp_path, capsys, kind):
+        cfg_file = tmp_path / "perron.cfg"
+        if kind == "directory":
+            cfg_file.mkdir()
+        elif kind == "not-utf8":
+            cfg_file.write_bytes(b"scenario = perron\n# \xff\xfe\n")
+        out = tmp_path / "o"
+        rc = main(["run", "perron", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(cfg_file) in err
+        assert not out.exists()
+
     def test_bad_seed_override_exits_two(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "qt.cfg"
         cfg_file.write_text(smoke_text("quasi-triangle"))
@@ -293,6 +307,15 @@ class TestVerifyAll:
         (cfg_dir / "z_bad.cfg").write_text("scenario = perron\ngap_tol = -1\n")
         with pytest.raises(ConfigError, match="gap_tol"):
             verify_all(cfg_dir, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_named_like_a_config_exits_two(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        (cfg_dir / "b.cfg").mkdir(parents=True)
+        (cfg_dir / "a.cfg").write_text(smoke_text("quasi-triangle"))
+        rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "b.cfg" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_failing_scenario_yields_exit_one(self, tmp_path, capsys):

@@ -143,7 +143,7 @@ def cosine_theta(n):
 
 
 class TestPsorSweepMatchesReference:
-    """The quarter-lattice sweep reproduces the whole-grid sweep bit for bit."""
+    """The colour-vector sweep reproduces the whole-grid sweep bit for bit."""
 
     @staticmethod
     def assert_identical(theta, hproj, tol=1e-9, max_iter=200_000, init=None):
@@ -158,7 +158,8 @@ class TestPsorSweepMatchesReference:
         assert np.array_equal(res, want[2])
         return got
 
-    @pytest.mark.parametrize("n", [8, 64, 128])
+    # at n = 10 and 18, n/2 is odd: each colour's rows wrap at an odd count
+    @pytest.mark.parametrize("n", [8, 10, 18, 64, 128])
     @pytest.mark.parametrize("obstacle", [smooth_obstacle, step_obstacle])
     def test_obstacles_to_convergence(self, n, obstacle):
         _, sweeps, _, _, ok = self.assert_identical(cosine_theta(n), obstacle(n))

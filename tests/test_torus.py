@@ -19,9 +19,9 @@ from maenv import (
     norms,
     theta_cosine,
 )
-from maenv.torus import laplacian_matrix
+from maenv.torus import laplacian_matrix, neighbor_sum
 
-from oracles import moreau_of_step
+from oracles import inf_convolution_reference, moreau_of_step, roll_neighbor_sum
 
 
 def discrete_cos_curvature_factor(n: int) -> float:
@@ -178,6 +178,41 @@ class TestInfConvolution:
         grid = TorusGrid(16)
         with pytest.raises(ValueError):
             inf_convolution(constant_field(grid, 0.0), 0.0)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("amplitude", [0.01, 2.0, 50.0])
+    @pytest.mark.parametrize("j_power", [0, 1, 2])
+    def test_matches_all_shift_reference_bit_for_bit(self, n, amplitude, j_power):
+        rng = np.random.default_rng(n)
+        u = GridField(TorusGrid(n), amplitude * rng.standard_normal((n, n)))
+        j = float(n**j_power)
+        want = inf_convolution_reference(u.values, j)
+        assert np.array_equal(inf_convolution(u, j).values, want)
+
+    def test_search_radius_reaching_half_the_grid(self):
+        # the largest cost, 0.9 * (1/2)^2, stays below the spread 1, so the
+        # first pass tries every shift up to n/2; row n/2 takes row 0's value
+        n = 32
+        grid = TorusGrid(n)
+        values = np.zeros((n, n))
+        values[0, :] = -1.0
+        u = GridField(grid, values)
+        got = inf_convolution(u, 0.9).values
+        assert np.array_equal(got, inf_convolution_reference(values, 0.9))
+        assert got[n // 2, 0] == -1.0 + 0.9 * 0.25
+
+
+class TestNeighborSum:
+    @pytest.mark.parametrize("n", [8, 10, 64])
+    def test_matches_roll_reference_bit_for_bit(self, n):
+        values = np.random.default_rng(n).standard_normal((n, n))
+        assert np.array_equal(neighbor_sum(values), roll_neighbor_sum(values))
+
+    def test_noncontiguous_view(self):
+        base = np.random.default_rng(5).standard_normal((40, 36))
+        view = base[::2, 2:][:, ::2].T[:, :16]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(neighbor_sum(view), roll_neighbor_sum(view))
 
 
 class TestNorms:
