@@ -37,13 +37,11 @@ from .torus import (
     constant_field,
     curvature_values,
     field_from_function,
-    field_with_curvature,
     inf_convolution,
     integrate,
     is_theta_psh,
     laplacian_matrix,
     ma_density,
-    norms,
 )
 from .radial import (
     LocalEnvelope,
@@ -73,7 +71,6 @@ from .obstacle import (
 from .equations import (
     PerronRound,
     PminResult,
-    SupersolutionFamily,
     perron_solve,
     pmin_compose,
     solve_ma_exponential,

@@ -3,12 +3,14 @@
 Two commands::
 
     maenv run <scenario> --config <file> --out <dir>
-    maenv verify-all <config-dir> [--out <dir>] [--parallel]
+    maenv verify-all <config-dir> [--out <dir>]
 
 ``run`` executes one scenario and writes its artifacts plus ``manifest.json``
 into the output directory.  ``verify-all`` runs every ``*.cfg`` in a
-directory and prints a pass/fail matrix.  Exit status: 0 when all checks
-pass, 1 when a scenario check fails, 2 on configuration errors.
+directory, one worker process per config up to the number of CPUs, and
+prints a pass/fail matrix.  Exit status: 0 when all checks pass, 1 when a
+scenario check fails, 2 on configuration errors (an output directory that
+cannot be created is one).
 
 The environment variable ``MAENV_SEED`` overrides the config seed for
 ``run`` (useful for re-rolling randomized scenarios without editing files).
@@ -39,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     va_p = sub.add_parser("verify-all", help="run every *.cfg in a directory")
     va_p.add_argument("config_dir")
     va_p.add_argument("--out", default=None, help="output root (default: <config_dir>/out)")
-    va_p.add_argument("--parallel", action="store_true", help="run scenarios in parallel processes")
     return parser
 
 
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
                 print(f"PASS {check.name} = {check.value:.10g}")
             print(f"manifest: {os.path.join(args.out, 'manifest.json')}")
             return 0
-        summary = verify_all(args.config_dir, args.out, parallel=args.parallel)
+        summary = verify_all(args.config_dir, args.out)
         print(summary.matrix())
         return 0 if summary.success else 1
     except ScenarioFailure as exc:

@@ -92,7 +92,6 @@ def quasi_triangle_check(
 @dataclass
 class CapacityResult:
     value: float
-    mode: str
     witness: GridField
 
 
@@ -135,7 +134,7 @@ def _exact_capacity(theta, mask, low, high):
         )
     witness = GridField(grid, result.x.reshape(n, n))
     value = float((ma_density(theta, witness).values * mask).sum()) * grid.h**2
-    return CapacityResult(value, "exact", witness)
+    return CapacityResult(value, witness)
 
 
 def _witness_capacity(theta, mask, low, high, psor_tol):
@@ -144,7 +143,7 @@ def _witness_capacity(theta, mask, low, high, psor_tol):
     obstacle = GridField(grid, np.where(mask, low, high))
     witness = psor_envelope(theta, obstacle, tol=psor_tol).u
     value = float((ma_density(theta, witness).values * mask).sum()) * grid.h**2
-    return CapacityResult(value, "lower_bound", witness)
+    return CapacityResult(value, witness)
 
 
 def capacity(
@@ -165,7 +164,7 @@ def capacity(
     if v_theta is None:
         v_theta = extremal_field(theta, psor_tol)
     if not mask.any():
-        return CapacityResult(0.0, mode, v_theta)
+        return CapacityResult(0.0, v_theta)
     if mode == "exact":
         return _exact_capacity(theta, mask, v_theta.values - 1.0, v_theta.values)
     if mode == "lower_bound":
@@ -194,7 +193,7 @@ def generalized_capacity(
     if np.any(phi_low.values > psi_high.values + 1e-12):
         raise OrderViolation("lower bound exceeds upper bound somewhere")
     if not mask.any():
-        return CapacityResult(0.0, mode, psi_high)
+        return CapacityResult(0.0, psi_high)
     if mode == "exact":
         return _exact_capacity(theta, mask, phi_low.values, psi_high.values)
     if mode == "lower_bound":
@@ -207,7 +206,6 @@ def cap_convergence_metric(
     u_seq,
     u: GridField,
     eps: float,
-    v_theta: GridField | None = None,
     psor_tol: float = 1e-9,
 ) -> list:
     """Capacity (lower-bound mode) of {|u_j - u| > eps} for each member.
@@ -217,8 +215,7 @@ def cap_convergence_metric(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if v_theta is None:
-        v_theta = extremal_field(theta, psor_tol)
+    v_theta = extremal_field(theta, psor_tol)
     out = []
     for uj in u_seq:
         mask = np.abs(uj.values - u.values) > eps

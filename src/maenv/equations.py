@@ -24,7 +24,7 @@ import numpy as np
 
 from ._newton import newton_semilinear
 from .errors import FamilyExhausted, InputNotSupersolution, NoSubsolution
-from .obstacle import ObstacleSolution, psor_envelope
+from .obstacle import psor_envelope
 from .torus import (
     GridField,
     MeasureDensity,
@@ -38,7 +38,6 @@ from .torus import (
 __all__ = [
     "PminResult",
     "PerronRound",
-    "SupersolutionFamily",
     "solve_ma_exponential",
     "pmin_compose",
     "supersolution_check",
@@ -52,7 +51,6 @@ def solve_ma_exponential(
     mu: MeasureDensity,
     beta: float = 1.0,
     tol: float = 1e-10,
-    max_iter: int = 80,
 ):
     """Solve theta + curvature(phi) = exp(beta*phi) * mu by damped Newton.
 
@@ -71,7 +69,6 @@ def solve_ma_exponential(
         [(float(beta), zero, mu.density.values)],
         u0,
         tol=tol,
-        max_iter=max_iter,
     )
     return GridField(grid, phi), report
 
@@ -92,7 +89,6 @@ class PminResult:
     max_defect: float
     l1_defect: float
     contact_tol: float
-    solution: ObstacleSolution
 
 
 def pmin_compose(
@@ -125,7 +121,6 @@ def pmin_compose(
         float(defect.max()),
         float(np.abs(defect).sum()) * grid.h**2,
         contact_tol,
-        sol,
     )
 
 
@@ -153,38 +148,9 @@ def subsolution_check(
 # ---------------------------------------------------------------------------
 
 
-class SupersolutionFamily:
-    """A validated collection of supersolutions of one exponential equation.
-
-    Every member must pass :func:`supersolution_check` at ``residual_tol`` or
-    it is rejected with :class:`InputNotSupersolution`.
-    """
-
-    def __init__(self, theta, mu, members=(), residual_tol=1e-8):
-        self.theta = theta
-        self.mu = mu
-        self.residual_tol = float(residual_tol)
-        self.members: list[GridField] = []
-        for psi in members:
-            self.add(psi)
-
-    def add(self, psi: GridField) -> None:
-        report = supersolution_check(self.theta, psi, self.mu, self.residual_tol)
-        if not report.passed:
-            raise InputNotSupersolution(
-                f"candidate member violates the supersolution bound by {report.value:.3e}",
-                report=report,
-            )
-        self.members.append(psi)
-
-    def __len__(self):
-        return len(self.members)
-
-
 @dataclass
 class PerronRound:
     round: int
-    member_id: int
     sup_gap: float
     supersolution_residual: float
     equation_residual: float
@@ -193,36 +159,43 @@ class PerronRound:
 def perron_solve(
     theta: ThetaDensity,
     mu: MeasureDensity,
-    family: SupersolutionFamily,
+    members: list,
     u0: GridField,
     equation_tol: float = 1e-6,
-    subsolution_tol: float = 1e-8,
-    max_members: int = 64,
     psor_tol: float = 1e-10,
 ):
     """Descend to the equation's solution by folding supersolutions.
 
-    Starting from the first member, each further member psi is folded in as
-    P(min(current, psi)); the partition inequality keeps every fold a
-    supersolution, and the presence of a subsolution u0 (checked first,
-    otherwise :class:`NoSubsolution`) bounds the descent from below.  The
-    iteration stops once the two-sided equation residual drops under
-    ``equation_tol``; running out of members first raises
+    Every member must pass :func:`supersolution_check` (otherwise
+    :class:`InputNotSupersolution` with the failing report), and u0 must pass
+    :func:`subsolution_check` (otherwise :class:`NoSubsolution`); the members
+    are checked first.  Starting from the first member, each further member
+    psi is folded in as P(min(current, psi)); the partition inequality keeps
+    every fold a supersolution, and the subsolution u0 bounds the descent
+    from below.  The iteration stops once the two-sided equation residual
+    drops under ``equation_tol``; running out of members first raises
     :class:`FamilyExhausted` with the residual gap and the best fold.
 
     Returns ``(GridField, [PerronRound])``.
     """
-    sub = subsolution_check(theta, u0, mu, subsolution_tol)
+    if not members:
+        raise ValueError("no members to fold")
+    for psi in members:
+        report = supersolution_check(theta, psi, mu)
+        if not report.passed:
+            raise InputNotSupersolution(
+                f"member violates the supersolution bound by {report.value:.3e}",
+                report=report,
+            )
+    sub = subsolution_check(theta, u0, mu)
     if not sub.passed:
         raise NoSubsolution(
             f"u0 violates the subsolution bound by {sub.value:.3e}"
         )
-    if len(family) == 0:
-        raise ValueError("family has no members")
 
     history: list[PerronRound] = []
     current: GridField | None = None
-    for k, psi in enumerate(family.members[:max_members]):
+    for k, psi in enumerate(members):
         if current is None:
             current = psi
             gap = float("inf")
@@ -233,7 +206,7 @@ def perron_solve(
         defect = equation_defect(theta, current, mu.density.values)
         res_super = float(defect.max())
         res_eq = float(np.abs(defect).max())
-        history.append(PerronRound(k, k, gap, res_super, res_eq))
+        history.append(PerronRound(k, gap, res_super, res_eq))
         if res_eq <= equation_tol:
             return current, history
     raise FamilyExhausted(

@@ -5,7 +5,7 @@ configs refer to these families by name, and the refinement studies rely on
 the right-hand sides being analytic (so residuals measure discretization
 alone, not data manufactured on the same grid).
 
-The supersolution corpus builds pairs (v, f) satisfying
+The supersolution corpus builds pairs (v, f) satisfying, for theta = 1,
 
     (theta + dd^c v)_+ <= e^v f
 
@@ -61,14 +61,10 @@ def _cosine_curvature(grid, amplitude, kx=1, ky=0, phase=0.0) -> np.ndarray:
     )
 
 
-def theta_cosine(
-    grid: TorusGrid, base: float = 1.0, amplitude: float = 0.0, kx: int = 1, ky: int = 0
-) -> ThetaDensity:
-    """Density base + amplitude*cos(2*pi*(kx*x + ky*y)); mean = base > 0."""
-    x, y = grid.coords()
-    return ThetaDensity(
-        GridField(grid, base + amplitude * np.cos(2.0 * np.pi * (kx * x + ky * y)))
-    )
+def theta_cosine(grid: TorusGrid, base: float = 1.0, amplitude: float = 0.0) -> ThetaDensity:
+    """Density base + amplitude*cos(2*pi*x); mean = base > 0."""
+    x, _ = grid.coords()
+    return ThetaDensity(GridField(grid, base + amplitude * np.cos(2.0 * np.pi * x)))
 
 
 def step_band(grid: TorusGrid, x0: float, x1: float, depth: float = -1.0):
@@ -108,25 +104,20 @@ def random_smooth_field(
     return GridField(grid, vals)
 
 
-def random_theta_psh(
-    theta: ThetaDensity,
-    rng: np.random.Generator,
-    modes: int = 3,
-    margin: float = 0.9,
-) -> GridField:
+def random_theta_psh(theta: ThetaDensity, rng: np.random.Generator) -> GridField:
     """Random admissible field: a trig polynomial scaled into the theta-psh cone.
 
     Requires min(theta.density) > 0 (a strictly positive form); the scaling
-    keeps ma_density >= (1 - margin) * min(theta) pointwise.
+    keeps ma_density >= 0.1 * min(theta) pointwise.
     """
     theta_min = float(theta.density.values.min())
     if theta_min <= 0:
         raise ValueError("random admissible fields need a strictly positive density")
-    raw = random_smooth_field(theta.grid, rng, modes, 1.0)
+    raw = random_smooth_field(theta.grid, rng, 3, 1.0)
     curv_min = float(curvature_values(raw.values, theta.grid.h).min())
     if curv_min >= 0:
         return raw
-    scale = margin * theta_min / (-curv_min)
+    scale = 0.9 * theta_min / (-curv_min)
     return GridField(theta.grid, scale * raw.values)
 
 
@@ -168,65 +159,51 @@ def _stencil_max(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth_supersolution(
-    grid: TorusGrid, theta_value: float = 1.0, amplitude: float = 0.05
-) -> SupersolutionDatum:
-    """v = a*cos(2pi x), f = e^{-v}(theta + curvature(v)): exact equality."""
-    if not 0 < 2.0 * np.pi * amplitude < theta_value:
-        raise ValueError("amplitude too large for a positive density")
-    v = cosine_field(grid, amplitude, 1, 0)
-    c = _cosine_curvature(grid, amplitude, 1, 0)
-    f = GridField(grid, np.exp(-v.values) * (theta_value + c))
-    trunc = 2.0 * np.pi**3 * amplitude * grid.h**2
+def smooth_supersolution(grid: TorusGrid) -> SupersolutionDatum:
+    """v = a*cos(2pi x) with a = 0.05, f = e^{-v}(1 + curvature(v)): exact equality."""
+    a = 0.05
+    v = cosine_field(grid, a, 1, 0)
+    c = _cosine_curvature(grid, a, 1, 0)
+    f = GridField(grid, np.exp(-v.values) * (1.0 + c))
+    trunc = 2.0 * np.pi**3 * a * grid.h**2
     ef_max = float(np.exp(v.values.max()) * f.values.max())
-    tol = _gate_tol(grid, 2.0 * np.pi * amplitude, ef_max, trunc)
+    tol = _gate_tol(grid, 2.0 * np.pi * a, ef_max, trunc)
     return SupersolutionDatum("smooth", v, f, tol)
 
 
-def min_two_supersolution(
-    grid: TorusGrid,
-    theta_value: float = 1.0,
-    a1: float = 0.05,
-    a2: float = 0.04,
-    shift: float = 0.13,
-) -> SupersolutionDatum:
-    """v = min of two crossing cosines, f assembled from the active branch."""
+def min_two_supersolution(grid: TorusGrid) -> SupersolutionDatum:
+    """v = min of two crossing cosines, f assembled from the active branch.
+
+    The cosines are 0.05*cos(2pi x) and 0.04*cos(2pi (y + 0.13)).
+    """
+    a1, a2, phase = 0.05, 0.04, 2.0 * np.pi * 0.13
     v1 = cosine_field(grid, a1, 1, 0)
-    v2 = cosine_field(grid, a2, 0, 1, phase=2.0 * np.pi * shift)
+    v2 = cosine_field(grid, a2, 0, 1, phase=phase)
     c1 = _cosine_curvature(grid, a1, 1, 0)
-    c2 = _cosine_curvature(grid, a2, 0, 1, phase=2.0 * np.pi * shift)
+    c2 = _cosine_curvature(grid, a2, 0, 1, phase=phase)
     use1 = v1.values <= v2.values
     v = GridField(grid, np.where(use1, v1.values, v2.values))
     c_active = np.where(use1, c1, c2)
-    f = GridField(grid, np.exp(-v.values) * (theta_value + _stencil_max(c_active)))
-    if f.values.min() <= 0:
-        raise ValueError("amplitudes too large for a positive density")
+    f = GridField(grid, np.exp(-v.values) * (1.0 + _stencil_max(c_active)))
     trunc = 2.0 * np.pi**3 * max(a1, a2) * grid.h**2
     ef_max = float(np.exp(v.values.max()) * f.values.max())
     tol = _gate_tol(grid, 2.0 * np.pi * (a1 + a2), ef_max, trunc)
     return SupersolutionDatum("min-two-smooth", v, f, tol)
 
 
-def ramp_supersolution(
-    grid: TorusGrid,
-    theta_value: float = 1.0,
-    x0: float = 0.375,
-    x1: float = 0.625,
-    depth: float = 0.25,
-    j_ramp: float = 4.0,
-    amplitude: float = 0.03,
-) -> SupersolutionDatum:
+def ramp_supersolution(grid: TorusGrid) -> SupersolutionDatum:
     """Quadratic ramp out of a step (value of min_y step(y) + j|x-y|^2) plus a cosine.
 
-    The ramp meets the flat level in a concave crease (slope jump
-    2*sqrt(j*depth)) and leaves the band through convex junctions; the
+    The step has depth 0.25 on the band [0.375, 0.625], the ramp strength is
+    j = 4 and the background 0.03*cos(2pi x).  The ramp, of half-width
+    sqrt(depth / j) = 0.25, meets the flat level in a concave crease (slope
+    jump 2*sqrt(j*depth)) and leaves the band through convex junctions; the
     density uses the stencil-inflated branch curvature, so the pointwise
     inequality holds with equality on the ramp's interior.
     """
+    x0, x1, depth, j_ramp, amplitude = 0.375, 0.625, 0.25, 4.0, 0.03
     x, _ = grid.coords()
     t_star = float(np.sqrt(depth / j_ramp))
-    if x0 - t_star <= 0 or x1 + t_star >= 1:
-        raise ValueError("ramp leaves no flat region on the torus")
     dist = np.maximum.reduce([x0 - x, x - x1, np.zeros_like(x)])
     ramp = np.where(dist <= t_star, -depth + j_ramp * dist**2, 0.0)
     background = amplitude * np.cos(2.0 * np.pi * x)
@@ -235,9 +212,7 @@ def ramp_supersolution(
         (dist > 0) & (dist <= t_star), 2.0 * j_ramp / (2.0 * np.pi), 0.0
     )
     c_branch = c_branch + _cosine_curvature(grid, amplitude, 1, 0)
-    f = GridField(grid, np.exp(-v.values) * (theta_value + _stencil_max(c_branch)))
-    if f.values.min() <= 0:
-        raise ValueError("background too large for a positive density")
+    f = GridField(grid, np.exp(-v.values) * (1.0 + _stencil_max(c_branch)))
     grad_max = 2.0 * np.sqrt(j_ramp * depth) + 2.0 * np.pi * amplitude
     trunc = 2.0 * np.pi**3 * amplitude * grid.h**2
     ef_max = float(np.exp(v.values.max()) * f.values.max())
@@ -245,10 +220,10 @@ def ramp_supersolution(
     return SupersolutionDatum("ramp-step", v, f, tol)
 
 
-def supersolution_corpus(grid: TorusGrid, theta_value: float = 1.0) -> list:
-    """The three-member curated corpus at default parameters."""
+def supersolution_corpus(grid: TorusGrid) -> list:
+    """The three-member curated corpus, for theta = 1."""
     return [
-        smooth_supersolution(grid, theta_value),
-        min_two_supersolution(grid, theta_value),
-        ramp_supersolution(grid, theta_value),
+        smooth_supersolution(grid),
+        min_two_supersolution(grid),
+        ramp_supersolution(grid),
     ]

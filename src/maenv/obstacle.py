@@ -263,7 +263,6 @@ def penalized_step(
     j: float,
     init: GridField | None = None,
     tol: float = 1e-10,
-    max_iter: int = 80,
 ):
     """Solve theta + curvature(phi) = exp(j*(phi - v)) * mu by damped Newton.
 
@@ -281,7 +280,7 @@ def penalized_step(
     else:
         u0 = init.values
     phi, report = newton_semilinear(
-        th, [(float(j), v.values, mu.density.values)], u0, tol=tol, max_iter=max_iter
+        th, [(float(j), v.values, mu.density.values)], u0, tol=tol
     )
     return GridField(grid, phi), report
 
@@ -297,11 +296,6 @@ class PenalizedEnvelope:
     slacks: list
     reports: list
     oracle: ObstacleSolution
-    phi_fixed: GridField
-
-    @property
-    def final(self) -> GridField:
-        return self.iterates[-1]
 
 
 def penalized_envelope(
@@ -336,9 +330,7 @@ def penalized_envelope(
         l1s.append(float(np.abs(d).sum() * h2))
         slacks.append(lower_bound_slack(current, oracle.u, phi_fixed, j, inf_v))
         reports.append(rep)
-    return PenalizedEnvelope(
-        schedule.js, iterates, sups, l1s, slacks, reports, oracle, phi_fixed
-    )
+    return PenalizedEnvelope(schedule.js, iterates, sups, l1s, slacks, reports, oracle)
 
 
 def lower_bound_slack(

@@ -175,16 +175,14 @@ def constrained_convex_envelope(
     return _HullEnvelope(vx, vy, s_min, s_max if s_max is not None else slopes[-1] if len(slopes) else s_min)
 
 
-def radial_envelope(h, axis: TAxis, n: int = 1) -> RadialProfile:
+def radial_envelope(h, axis: TAxis) -> RadialProfile:
     """Envelope P(h) of a radial obstacle, returned as the convex profile P(h) + rho.
 
     The largest omega-psh minorant of h corresponds to the largest convex
-    minorant of h + rho with slopes in [0, 1/2]; the dimension n does not
+    minorant of h + rho with slopes in [0, 1/2]; the dimension does not
     enter the envelope, only its measure.  Obstacle samples at jump locations
     should carry the lower-semicontinuous value (see module docstring).
     """
-    if n < 1:
-        raise ValueError("dimension n must be a positive integer")
     h = np.asarray(h, dtype=np.float64)
     rho = 0.5 * np.logaddexp(0.0, axis.ts)
     env = constrained_convex_envelope(axis.ts, h + rho, 0.0, 0.5)
@@ -223,11 +221,6 @@ class SlopeMeasure:
     def atoms(self) -> list:
         ts = self.axis.ts
         return [(float(ts[i]), float(self.masses[i])) for i in self.atom_indices]
-
-    @property
-    def ac_mass(self) -> float:
-        out = self.masses.sum() - self.masses[self.atom_indices].sum()
-        return float(out)
 
 
 def radial_ma_mass(profile: RadialProfile, n: int) -> SlopeMeasure:
@@ -283,7 +276,7 @@ def orthogonality_defect_radial(h, axis: TAxis, n: int, solver_h=None) -> float:
     """
     h = np.asarray(h, dtype=np.float64)
     hs = h if solver_h is None else np.asarray(solver_h, dtype=np.float64)
-    profile = radial_envelope(hs, axis, n)
+    profile = radial_envelope(hs, axis)
     measure = radial_ma_mass(profile, n)
     rho = 0.5 * np.logaddexp(0.0, axis.ts)
     potential = profile.values - rho

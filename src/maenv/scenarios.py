@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,12 +30,7 @@ from .energy import (
     generalized_capacity,
     quasi_triangle_check,
 )
-from .equations import (
-    SupersolutionFamily,
-    perron_solve,
-    pmin_compose,
-    solve_ma_exponential,
-)
+from .equations import perron_solve, pmin_compose, solve_ma_exponential
 from .errors import ConfigError, MaenvError, ScenarioFailure
 from .fields import (
     random_smooth_field,
@@ -72,8 +68,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-_COMMON_KEYS = {"scenario", "seed", "out"}
 
 # per-scenario schema: key -> (type tag, default); types: i = int, f = float,
 # fl = comma-separated float list
@@ -168,7 +162,6 @@ class ScenarioConfig:
     scenario: str
     seed: int
     params: dict
-    out: str | None = None
 
     def canonical_text(self) -> str:
         lines = [f"scenario = {self.scenario}", f"seed = {self.seed}"]
@@ -186,7 +179,7 @@ class ScenarioConfig:
             raise ConfigError(f"field 'seed' must be >= 0, got {self.seed}")
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return ScenarioConfig(self.scenario, int(seed), self.params, self.out)
+        return ScenarioConfig(self.scenario, int(seed), self.params)
 
 
 def _coerce(key: str, raw: str, kind: str):
@@ -199,7 +192,6 @@ def _coerce(key: str, raw: str, kind: str):
             return tuple(float(part) for part in raw.split(","))
     except ValueError:
         raise ConfigError(f"field {key!r}: cannot parse {raw!r} as {'int' if kind == 'i' else 'number(s)'}") from None
-    raise ConfigError(f"field {key!r}: unknown kind {kind!r}")
 
 
 def parse_config_text(text: str, scenario: str | None = None) -> ScenarioConfig:
@@ -234,7 +226,6 @@ def parse_config_text(text: str, scenario: str | None = None) -> ScenarioConfig:
 
     seed_raw = entries.pop("seed", "0")
     seed = _coerce("seed", seed_raw, "i")
-    out = entries.pop("out", None)
 
     schema = _SCHEMAS[name]
     params = {key: default for key, (kind, default) in schema.items()}
@@ -243,7 +234,7 @@ def parse_config_text(text: str, scenario: str | None = None) -> ScenarioConfig:
             raise ConfigError(f"field {key!r} is not valid for scenario {name!r}")
         params[key] = _coerce(key, raw, schema[key][0])
     _check_ranges(name, params)
-    return ScenarioConfig(name, seed, params, out)
+    return ScenarioConfig(name, seed, params)
 
 
 # lower bounds the library enforces when a scenario builds its objects
@@ -580,17 +571,16 @@ def _scn_perron(p, seed, rec):
         supp = mu_vals > 0
         ratio_min = float((theta.density.values[supp] / mu_vals[supp]).min())
         u0 = constant_field(grid, float(np.log(ratio_min) - 0.1))
-        fam = SupersolutionFamily(theta, mu, members=members)
-        sol, hist = perron_solve(theta, mu, fam, u0, equation_tol=p["equation_tol"], psor_tol=p["psor_tol"])
-        fam_r = SupersolutionFamily(theta, mu, members=list(reversed(members)))
-        sol_r, _ = perron_solve(theta, mu, fam_r, u0, equation_tol=p["equation_tol"], psor_tol=p["psor_tol"])
+        sol, hist = perron_solve(theta, mu, members, u0, equation_tol=p["equation_tol"], psor_tol=p["psor_tol"])
+        sol_r, _ = perron_solve(theta, mu, members[::-1], u0, equation_tol=p["equation_tol"], psor_tol=p["psor_tol"])
         gap = float(np.abs(sol.values - exact.values).max())
         shuffle = float(np.abs(sol.values - sol_r.values).max())
         checks.append(Check(f"gap[{tag}]", gap <= p["gap_tol"], gap, p["gap_tol"]))
         checks.append(Check(f"shuffle[{tag}]", shuffle <= p["shuffle_tol"], shuffle, p["shuffle_tol"]))
         for h in hist:
+            # round k folds in member k, so member_id repeats the round
             rows.append(
-                (tag, float(h.round), float(h.member_id),
+                (tag, float(h.round), float(h.round),
                  h.sup_gap if np.isfinite(h.sup_gap) else -1.0,
                  h.supersolution_residual, h.equation_residual)
             )
@@ -788,21 +778,21 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(config: ScenarioConfig, out_dir=None) -> RunManifest:
+def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
     """Run one scenario, write its artifacts and manifest, return the manifest.
 
     Raises :class:`ScenarioFailure` when a check fails; the manifest and all
     artifacts are written first, so a failing run remains fully inspectable.
     A solver error inside the scenario becomes a failed ``solver_converged``
     check whose value is the error's residual (-1 when it carries none) and
-    whose manifest lists no artifacts.
+    whose manifest lists no artifacts.  An output directory that cannot be
+    created raises :class:`ConfigError` before the scenario runs.
     """
-    if out_dir is None:
-        out_dir = config.out
-    if out_dir is None:
-        raise ConfigError("field 'out': no output directory (config key or --out)")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
 
     rec = _Recorder()
     error = None
@@ -877,13 +867,14 @@ def _run_config_file(path: Path, out_root: Path):
         return (path.name, config.scenario, False, str(exc).split("(")[0].strip())
 
 
-def verify_all(config_dir, out_root=None, parallel: bool = False) -> VerifySummary:
+def verify_all(config_dir, out_root=None) -> VerifySummary:
     """Run every ``*.cfg`` in a directory; aggregate failures into the summary.
 
-    Configs are executed in sorted order (or in parallel processes when
-    requested; scenarios share no state).  An empty directory yields an
-    empty, successful summary.  Malformed configs raise :class:`ConfigError`
-    immediately.
+    The configs run in worker processes, one per config up to the number of
+    CPUs (scenarios share no state), and the rows come back in sorted config
+    order.  An empty directory yields an empty, successful summary and
+    starts no workers.  Malformed configs raise :class:`ConfigError` before
+    any run.
     """
     config_dir = Path(config_dir)
     if not config_dir.is_dir():
@@ -892,11 +883,13 @@ def verify_all(config_dir, out_root=None, parallel: bool = False) -> VerifySumma
     paths = sorted(config_dir.glob("*.cfg"))
     for path in paths:  # fail fast on malformed configs, before any runs
         read_config(path)
-    if parallel and len(paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if not paths:
+        return VerifySummary([])
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_run_config_file, paths, [out_root] * len(paths)))
-    else:
-        rows = [_run_config_file(path, out_root) for path in paths]
+    # spawned workers: forking a process that holds BLAS threads is unsafe
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(min(len(paths), os.cpu_count() or 1), mp_context=spawn) as pool:
+        rows = list(pool.map(_run_config_file, paths, [out_root] * len(paths)))
     return VerifySummary(rows)

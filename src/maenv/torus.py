@@ -203,17 +203,6 @@ def integrate(u: GridField) -> float:
     return float(u.values.sum()) * u.grid.h**2
 
 
-def norms(u: GridField, v: GridField | None = None) -> dict:
-    """Sup, L1 and L2 norms of u (or of u - v when v is given)."""
-    d = u.values if v is None else u.values - v.values
-    h2 = u.grid.h**2
-    return {
-        "sup": float(np.max(np.abs(d))),
-        "l1": float(np.sum(np.abs(d)) * h2),
-        "l2": float(np.sqrt(np.sum(d * d) * h2)),
-    }
-
-
 def _minplus_pass(arr: np.ndarray, cost: np.ndarray) -> np.ndarray:
     # out[a, :] = min over periodic shifts s of cost[|s|] + arr[a + s, :].
     # A shift with cost[s] + min(arr) >= max(arr) in floating point gives a
@@ -272,20 +261,3 @@ def laplacian_matrix(n: int) -> sp.csc_matrix:
     lap = (sp.kron(t, eye) + sp.kron(eye, t)) / h2
     return lap.tocsc()
 
-
-def field_with_curvature(grid: TorusGrid, target: GridField) -> GridField:
-    """Mean-zero field u with curvature(u) = target - mean(target).
-
-    Solved exactly in Fourier space; used to build comparison fields and
-    explicit supersolutions.
-    """
-    g = target.values
-    rhs = 2.0 * np.pi * (g - g.mean())
-    k = np.fft.fftfreq(grid.n, d=1.0) * grid.n
-    lam1 = (2.0 * np.cos(2.0 * np.pi * k / grid.n) - 2.0) / grid.h**2
-    lam = lam1[:, None] + lam1[None, :]
-    lam[0, 0] = 1.0
-    u_hat = np.fft.fft2(rhs) / lam
-    u_hat[0, 0] = 0.0
-    u = np.real(np.fft.ifft2(u_hat))
-    return GridField(grid, u - u.mean())

@@ -112,12 +112,12 @@ def supersolution_envelope_pipeline(
     return PipelineResult(sol.u, residual, report, checked_fraction, sol)
 
 
-def mass_bound_check(theta: ThetaDensity, f: GridField, tol: float = 1e-12) -> bool:
-    """Whether integrate(f) >= V - tol: the solvability threshold.
+def mass_bound_check(theta: ThetaDensity, f: GridField) -> bool:
+    """Whether integrate(f) >= V - 1e-12: the solvability threshold.
 
     Densities below the volume admit no supersolution of
     (theta + dd^c u)_+ <= f — the positive part alone already carries total
     mass >= V — while any f at or above the threshold does.
     """
     _validate_weight(f)
-    return bool(integrate(f) >= theta.total_mass - tol)
+    return bool(integrate(f) >= theta.total_mass - 1e-12)

@@ -180,11 +180,6 @@ class TestRunScenario:
         failed = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert failed == ["step_defect_floor"]
 
-    def test_missing_output_directory_is_a_config_error(self):
-        cfg = parse_config_text(smoke_text("local-envelopes"))
-        with pytest.raises(ConfigError, match="out"):
-            run_scenario(cfg)
-
 
 class TestCliRun:
     def test_run_prints_checks_and_exits_zero(self, tmp_path, capsys):
@@ -268,6 +263,19 @@ class TestCliRun:
         assert "config error" in err and str(cfg_file) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_path_through_a_file_exits_two(self, tmp_path, capsys, below):
+        cfg_file = tmp_path / "local.cfg"
+        cfg_file.write_text(smoke_text("local-envelopes"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        rc = main(["run", "local-envelopes", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert blocker.read_text() == ""
+
     def test_bad_seed_override_exits_two(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "qt.cfg"
         cfg_file.write_text(smoke_text("quasi-triangle"))
@@ -336,27 +344,44 @@ class TestVerifyAll:
         assert "2 scenario(s), 1 passed, 1 failed" in capsys.readouterr().out
         assert (tmp_path / "out" / "a_stall" / "manifest.json").exists()
 
-    def test_parallel_run_matches_sequential(self, tmp_path, capsys):
+    def test_output_root_that_is_a_file_exits_two(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "local.cfg").write_text(smoke_text("local-envelopes"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        rc = main(["verify-all", str(cfg_dir), "--out", str(blocker)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
+    def test_worker_runs_match_in_process_runs(self, tmp_path):
         cfg_dir = tmp_path / "configs"
         cfg_dir.mkdir()
         (cfg_dir / "fail.cfg").write_text(FAILING_CFG)
         (cfg_dir / "local.cfg").write_text(smoke_text("local-envelopes"))
         (cfg_dir / "qt.cfg").write_text(smoke_text("quasi-triangle"))
-        sequential = verify_all(cfg_dir, tmp_path / "seq")
-        rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "par"), "--parallel"])
-        assert rc == 1
-        assert capsys.readouterr().out == sequential.matrix() + "\n"
-        assert [row[:3] for row in sequential.rows] == [
+        summary = verify_all(cfg_dir, tmp_path / "workers")
+        assert [row[:3] for row in summary.rows] == [
             ("fail.cfg", "orthogonality", False),
             ("local.cfg", "local-envelopes", True),
             ("qt.cfg", "quasi-triangle", True),
         ]
+        rows = []
+        for path in sorted(cfg_dir.glob("*.cfg")):
+            cfg = read_config(path)
+            try:
+                run_scenario(cfg, tmp_path / "inline" / path.stem)
+                rows.append((path.name, cfg.scenario, True, ""))
+            except ScenarioFailure as exc:
+                rows.append((path.name, cfg.scenario, False, str(exc).split("(")[0].strip()))
+        assert summary.rows == rows
 
         def tree(root):
             return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-        assert tree(tmp_path / "par") == tree(tmp_path / "seq")
-        assert len(tree(tmp_path / "seq")) == 3 + 3  # one artifact and a manifest each
+        assert tree(tmp_path / "workers") == tree(tmp_path / "inline")
+        assert len(tree(tmp_path / "inline")) == 3 + 3  # one artifact and a manifest each
 
 
 class TestSmokeAllScenarios:

@@ -17,13 +17,12 @@ from maenv import (
 )
 from maenv._newton import newton_semilinear
 from maenv.equations import (
-    SupersolutionFamily,
     perron_solve,
     pmin_compose,
     subsolution_check,
     supersolution_check,
 )
-from maenv.errors import FamilyExhausted, NoSubsolution
+from maenv.errors import FamilyExhausted, InputNotSupersolution, NoSubsolution
 from maenv.obstacle import PenalizationSchedule, penalized_envelope
 from maenv.torus import MeasureDensity
 from maenv.torus import integrate
@@ -153,8 +152,7 @@ class TestResidualChecks:
 
 class TestPerron:
     def test_exact_member_is_returned_unchanged(self, grid, theta_one, mu_one, phi_exact):
-        family = SupersolutionFamily(theta_one, mu_one, members=[phi_exact])
-        out, history = perron_solve(theta_one, mu_one, family, u0=constant_field(grid, -0.5))
+        out, history = perron_solve(theta_one, mu_one, [phi_exact], u0=constant_field(grid, -0.5))
         assert np.abs(out.values - phi_exact.values).max() == 0.0
         assert len(history) == 1
 
@@ -182,10 +180,9 @@ class TestPerron:
             restricted = MeasureDensity(GridField(g, np.where(mask, mu_vals.values, 0.0)))
             psi, _ = solve_ma_exponential(th, restricted, beta=1.0)
             members.append(psi)
-        family = SupersolutionFamily(th, mu, members=members)
         ratio_min = float((1.0 / mu_vals.values).min())
         u0 = constant_field(g, float(np.log(ratio_min) - 0.1))
-        out, history = perron_solve(th, mu, family, u0, equation_tol=1e-6)
+        out, history = perron_solve(th, mu, members, u0, equation_tol=1e-6)
         direct, _ = solve_ma_exponential(th, mu, beta=1.0)
         assert np.abs(out.values - direct.values).max() < 1e-3
         for member in members:
@@ -193,17 +190,27 @@ class TestPerron:
         assert all(r.supersolution_residual <= 1e-6 for r in history)
 
     def test_missing_subsolution_rejected(self, grid, theta_one, mu_one, phi_exact):
-        family = SupersolutionFamily(theta_one, mu_one, members=[phi_exact])
         with pytest.raises(NoSubsolution):
-            perron_solve(theta_one, mu_one, family, u0=constant_field(grid, 5.0))
+            perron_solve(theta_one, mu_one, [phi_exact], u0=constant_field(grid, 5.0))
+
+    def test_member_that_is_no_supersolution_rejected(self, grid, theta_one, mu_one, phi_exact):
+        # phi - 0.5 is a strict subsolution: e^phi * mu exceeds ma(phi) everywhere
+        down = GridField(grid, phi_exact.values - 0.5)
+        with pytest.raises(InputNotSupersolution) as exc:
+            perron_solve(theta_one, mu_one, [phi_exact, down], u0=constant_field(grid, -0.5))
+        report = exc.value.report
+        assert not report.passed
+        assert report.value == supersolution_check(theta_one, down, mu_one).value > 0
+
+    def test_members_are_checked_before_the_subsolution(self, grid, theta_one, mu_one, phi_exact):
+        down = GridField(grid, phi_exact.values - 0.5)
+        with pytest.raises(InputNotSupersolution):
+            perron_solve(theta_one, mu_one, [down], u0=constant_field(grid, 5.0))
 
     def test_exhausted_family_reports_best_fold(self, grid, theta_one, mu_one, phi_exact):
         lone = GridField(grid, phi_exact.values + 1.0)
-        family = SupersolutionFamily(theta_one, mu_one, members=[lone])
         with pytest.raises(FamilyExhausted) as exc:
-            perron_solve(
-                theta_one, mu_one, family, u0=constant_field(grid, -0.5), max_members=1
-            )
+            perron_solve(theta_one, mu_one, [lone], u0=constant_field(grid, -0.5))
         assert exc.value.best is not None
         assert exc.value.gap > 0
 

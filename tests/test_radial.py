@@ -95,7 +95,7 @@ class TestRadialMeasure:
         # envelope of 0 is the reference potential; its slope measure has
         # cumulative sigma(t)^n, no atoms, and unit total mass
         axis = TAxis()
-        prof = radial_envelope(np.zeros(axis.m), axis, 1)
+        prof = radial_envelope(np.zeros(axis.m), axis)
         rho = fs_potential(axis)
         assert np.abs(prof.values - rho.values).max() < 1e-10
         for n in (1, 2, 3):
@@ -117,7 +117,7 @@ class TestRadialMeasure:
         # cumulative (2s)^n jumps from 2^-n to 1: an atom of mass 1 - 2^-n
         axis = TAxis()
         _, h_lsc = ball_step_obstacle(axis)
-        prof = radial_envelope(h_lsc, axis, 1)
+        prof = radial_envelope(h_lsc, axis)
         for n in (1, 2, 3):
             meas = radial_ma_mass(prof, n)
             assert len(meas.atoms) == 1
@@ -172,7 +172,7 @@ class TestRadialSerialization:
     def test_measure_csv_header(self):
         axis = TAxis()
         _, h_lsc = ball_step_obstacle(axis)
-        meas = radial_ma_mass(radial_envelope(h_lsc, axis, 1), 1)
+        meas = radial_ma_mass(radial_envelope(h_lsc, axis), 1)
         lines = measure_to_csv(meas).strip().splitlines()
         assert lines[0] == "t,cumulative,mass,is_atom"
         assert any(line.endswith(",1") for line in lines[1:])  # the atom row

@@ -11,12 +11,10 @@ from maenv import (
     constant_field,
     curvature_values,
     field_from_function,
-    field_with_curvature,
     inf_convolution,
     integrate,
     is_theta_psh,
     ma_density,
-    norms,
     theta_cosine,
 )
 from maenv.torus import laplacian_matrix, neighbor_sum
@@ -112,16 +110,6 @@ class TestCurvature:
         via_matrix = (lap @ u.values.ravel()).reshape(n, n) / (2.0 * np.pi)
         assert np.abs(via_matrix - curvature_values(u.values, grid.h)).max() < 1e-12
 
-    def test_field_with_curvature_inverts_curvature(self):
-        grid = TorusGrid(64)
-        rng = np.random.default_rng(2)
-        target = GridField(grid, rng.standard_normal((64, 64)))
-        u = field_with_curvature(grid, target)
-        got = curvature_values(u.values, grid.h)
-        want = target.values - target.values.mean()
-        assert np.abs(got - want).max() < 1e-10
-        assert abs(u.values.mean()) < 1e-12
-
 
 class TestThetaPsh:
     def test_zero_is_admissible_for_unit_density(self):
@@ -213,33 +201,3 @@ class TestNeighborSum:
         view = base[::2, 2:][:, ::2].T[:, :16]
         assert not view.flags.c_contiguous
         assert np.array_equal(neighbor_sum(view), roll_neighbor_sum(view))
-
-
-class TestNorms:
-    def test_identical_fields_have_zero_norms(self):
-        grid = TorusGrid(32)
-        rng = np.random.default_rng(4)
-        u = GridField(grid, rng.standard_normal((32, 32)))
-        d = norms(u, u)
-        assert d["sup"] == d["l1"] == d["l2"] == 0.0
-
-    def test_constant_difference(self):
-        grid = TorusGrid(32)
-        u = constant_field(grid, 5.0)
-        v = constant_field(grid, 2.0)
-        d = norms(u, v)
-        assert d["sup"] == pytest.approx(3.0, abs=1e-14)
-        assert d["l1"] == pytest.approx(3.0, abs=1e-14)
-        assert d["l2"] == pytest.approx(3.0, abs=1e-14)
-
-    def test_cosine_difference(self):
-        # sup = 1 at x = 0; mean of cos^2 is exactly 1/2 on an even grid
-        grid = TorusGrid(256)
-        x, _ = grid.coords()
-        u = GridField(grid, np.cos(2.0 * np.pi * x))
-        v = constant_field(grid, 0.0)
-        d = norms(u, v)
-        assert d["sup"] == 1.0
-        assert abs(d["l2"] - 2.0**-0.5) < 1e-14
-        assert abs(d["l1"] - 2.0 / np.pi) < 1e-3
-
