@@ -47,7 +47,9 @@ class SolverReport:
     """Iteration diagnostics shared by the solvers.
 
     ``factorizations`` and ``cg_iterations`` count the work of Newton's
-    linear solves; they stay 0 for PSOR.
+    linear solves.  For PSOR, ``iterations`` counts sweeps,
+    ``cg_iterations`` the CG iterations of its active-set steps, and
+    ``factorizations`` stays 0.
     """
 
     method: str

@@ -13,6 +13,13 @@ Two independent routes to the same envelope:
   the envelope relative to a measure that vanishes elsewhere).  The sweep
   stores each colour's sites as one contiguous vector and gathers a
   colour's neighbour sums from the other colour by one sparse product.
+  Once the natural residual is below ``_HANDOVER_TOL`` the sweeps stop and
+  primal-dual active-set steps (Hintermueller, Ito & Kunisch, SIAM J.
+  Optim. 13, 2003) finish the solve: each fixes u = h on a contact set and
+  solves the equation on the free sites by conjugate gradients,
+  preconditioned by an FFT division by the stencil's Fourier symbol when
+  the free set is large.  If no step certifies the tolerance, the sweeps
+  resume.
 
 * :func:`penalized_step` solves the smooth penalized equation
 
@@ -30,6 +37,7 @@ Two independent routes to the same envelope:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,9 +49,16 @@ from .torus import (
     MeasureDensity,
     ThetaDensity,
     curvature_values,
+    laplacian_matrix,
     ma_density,
     neighbor_sum,
 )
+
+_HANDOVER_TOL = 1e-2  # PSOR residual at which the active-set steps take over
+_ACTIVE_SET_STEPS = 8  # active-set steps before PSOR resumes
+_CG_RTOL = 1e-13  # relative residual of each free-set CG solve
+_CG_MAXITER = 500  # CG iterations per free-set solve
+_FFT_MIN_FREE = 0.25  # free-site share from which CG is FFT-preconditioned
 
 __all__ = [
     "ObstacleSolution",
@@ -174,6 +189,112 @@ def _psor_values(theta, hproj, tol, max_iter, init):
     return u, sweeps, res, history, False
 
 
+@lru_cache(maxsize=None)
+def _inverse_symbol(n):
+    """Reciprocal Fourier symbol of -curvature on the rfft2 modes of an n x n grid.
+
+    The eigenvalue of mode (k, l) is (4 - 2 cos(2 pi k/n) - 2 cos(2 pi l/n))
+    / (2 pi h^2).  The constant mode's zero is replaced by the first nonzero
+    eigenvalue, which keeps the preconditioner positive definite.  The table
+    is cached per n and read-only.
+    """
+    h = 1.0 / n
+    d = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    lam = (d[:, None] + d[None, : n // 2 + 1]) / (2.0 * np.pi * h * h)
+    lam[0, 0] = lam[1, 0]
+    inv = 1.0 / lam
+    inv.flags.writeable = False
+    return inv
+
+
+def _dot(a, b):
+    # einsum, not BLAS: no worker threads, and the same sum at any thread count
+    return float(np.einsum("i,i->", a, b))
+
+
+def _free_set_solve(u, theta, h, free):
+    """Solve theta + curvature(u) = 0 on the free sites, u fixed elsewhere.
+
+    Conjugate gradients on the free sites' correction, with the free-set
+    block of -curvature as the operator.  When the free set holds at least
+    ``_FFT_MIN_FREE`` of the sites, CG is preconditioned by the periodic
+    inverse of -curvature (an FFT division) restricted to the free set;
+    on a smaller free set, thin strips between contact regions, the
+    Dirichlet data already bound the condition number and plain CG needs
+    fewer operations.  ``free`` flags the free sites of the flattened grid.
+    Returns the new field and the number of CG iterations.
+    """
+    n = u.shape[0]
+    idx = np.flatnonzero(free)
+    op = laplacian_matrix(n)[idx][:, idx]
+    op *= -1.0 / (2.0 * np.pi)
+    r = curvature_values(u, h)
+    r += theta
+    r = r.ravel()[idx]
+    if idx.size >= _FFT_MIN_FREE * n * n:
+        inv = _inverse_symbol(n)
+        grid = np.zeros(n * n)
+
+        def precondition(r):
+            grid[idx] = r
+            z = np.fft.irfft2(np.fft.rfft2(grid.reshape(n, n)) * inv, s=(n, n))
+            return z.ravel()[idx]
+
+    else:
+        precondition = np.copy
+    stop = _CG_RTOL * np.sqrt(_dot(r, r))
+    if stop == 0.0:
+        return u, 0
+    e = np.zeros_like(r)
+    z = precondition(r)
+    p = z
+    rz = _dot(r, z)
+    for it in range(1, _CG_MAXITER + 1):
+        q = op @ p
+        alpha = rz / _dot(p, q)
+        e += alpha * p
+        r -= alpha * q
+        if np.sqrt(_dot(r, r)) <= stop:
+            break
+        z = precondition(r)
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    out = u.copy()
+    out.ravel()[idx] += e
+    return out, it
+
+
+def _active_set_finish(u, theta, hproj, mask, tol, history):
+    """Primal-dual active-set steps from the iterate u; stops when one certifies tol.
+
+    Each step takes as contact set the constrained sites where a Jacobi step
+    would reach the obstacle, c * (h - u) <= theta + curvature(u) with c the
+    stencil's diagonal 4 / (2 pi h^2), fixes u = h there and solves the
+    equation on the rest.  Appends each step's natural residual to
+    ``history``.  Returns the last iterate, its residual, whether it
+    certifies tol, and the CG iterations spent.
+    """
+    n = u.shape[0]
+    h = 1.0 / n
+    c = 4.0 / (2.0 * np.pi * h * h)
+    cg_iterations = 0
+    res = np.inf
+    for _ in range(_ACTIVE_SET_STEPS):
+        w = curvature_values(u, h)
+        w += theta
+        contact = mask & (c * (hproj - u) <= w)
+        if not contact.any():
+            break
+        u = np.where(contact, hproj, u)
+        u, its = _free_set_solve(u, theta, h, ~contact.ravel())
+        cg_iterations += its
+        res = _natural_residual(u, hproj, theta, h)
+        history.append(res)
+        if res <= tol:
+            return u, res, True, cg_iterations
+    return u, res, False, cg_iterations
+
+
 def psor_envelope(
     theta: ThetaDensity,
     obstacle: GridField,
@@ -181,13 +302,19 @@ def psor_envelope(
     max_iter: int = 200_000,
     constraint_mask: np.ndarray | None = None,
 ) -> ObstacleSolution:
-    """Largest theta-psh field below the obstacle (projected SOR).
+    """Largest theta-psh field below the obstacle (projected SOR, active-set finish).
 
     The termination criterion is the sup norm of the natural residual
     ``min(obstacle - u, ma_density(theta, u))``, which controls feasibility,
     positivity and complementarity at once.  When ``constraint_mask`` is
     given, the obstacle is enforced only on masked nodes (envelope relative
     to a measure supported there); elsewhere the equation ma = 0 holds.
+
+    PSOR sweeps until the residual is at most ``max(tol, _HANDOVER_TOL)``;
+    then at most ``_ACTIVE_SET_STEPS`` active-set steps try to certify tol.
+    If none does, PSOR continues from the last iterate within what is left
+    of ``max_iter`` sweeps.  The report's ``iterations`` counts sweeps and
+    ``cg_iterations`` the free-set CG iterations.
 
     Raises :class:`NonConvergence` (carrying the best iterate) if the sweep
     budget is exhausted.
@@ -208,8 +335,16 @@ def psor_envelope(
         mask = np.ones_like(hproj, dtype=bool)
 
     u0 = np.broadcast_to(float(hproj[mask].min()), hproj.shape)
-    u, sweeps, res, history, ok = _psor_values(th, hproj, tol, max_iter, u0)
-    report = SolverReport("psor", sweeps, res, ok, history)
+    handover = max(tol, _HANDOVER_TOL)
+    u, sweeps, res, history, ok = _psor_values(th, hproj, handover, max_iter, u0)
+    cg_iterations = 0
+    if ok and res > tol:
+        u, res, ok, cg_iterations = _active_set_finish(u, th, hproj, mask, tol, history)
+        if not ok:
+            u, more, res, rest, ok = _psor_values(th, hproj, tol, max_iter - sweeps, u)
+            sweeps += more
+            history += rest
+    report = SolverReport("psor", sweeps, res, ok, history, cg_iterations=cg_iterations)
     contact_tol = 1e-6 * (1.0 + float(np.abs(obstacle.values[mask]).max()))
     w = th + curvature_values(u, grid.h)
     gap = np.where(mask, obstacle.values - u, 0.0)

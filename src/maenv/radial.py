@@ -133,9 +133,14 @@ class _HullEnvelope:
 
 
 def _lower_hull(ts: np.ndarray, gs: np.ndarray):
-    """Indices of the lower convex hull vertices of (ts, gs), ts increasing."""
+    """Indices of the lower convex hull vertices of (ts, gs), ts increasing.
+
+    The scan runs on Python floats: the same double-precision operations as
+    on numpy scalars, without their per-operation overhead.
+    """
+    ts, gs = ts.tolist(), gs.tolist()
     idx = []
-    for k in range(ts.size):
+    for k in range(len(ts)):
         while len(idx) >= 2:
             i, j = idx[-2], idx[-1]
             # pop j when it lies on or above the segment i -> k

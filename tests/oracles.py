@@ -9,8 +9,9 @@ identity.  Some exceptions keep the library's method and change only its
 mechanics, so the optimized forms must agree with them bit for bit:
 :func:`psor_sweeps_reference`, the plain whole-grid form of the library's
 projected SOR sweep; :func:`roll_neighbor_sum`, the neighbour sum by
-``np.roll``; and :func:`inf_convolution_reference`, the inf-convolution by
-brute force over every shift.  :func:`newton_direct_reference`, damped Newton
+``np.roll``; :func:`inf_convolution_reference`, the inf-convolution by
+brute force over every shift; and :func:`lower_hull_reference`, the radial
+hull scan on numpy scalars.  :func:`newton_direct_reference`, damped Newton
 with a fresh sparse LU per step, must agree with the factorization-reusing
 Newton to rounding.
 """
@@ -211,6 +212,23 @@ def halfplane_log1pexp(t: float, digits: int = 40) -> float:
     getcontext().prec = digits
     d = Decimal(repr(float(t)))
     return float(((Decimal(1) + d.exp()).ln()) / 2)
+
+
+def lower_hull_reference(ts, gs):
+    """Monotone-chain lower hull scanning numpy scalars; the library scans
+    Python floats with the same operations and must return the same
+    indices."""
+    idx = []
+    for k in range(ts.size):
+        while len(idx) >= 2:
+            i, j = idx[-2], idx[-1]
+            # pop j when it lies on or above the segment i -> k
+            if (gs[j] - gs[i]) * (ts[k] - ts[j]) >= (gs[k] - gs[j]) * (ts[j] - ts[i]):
+                idx.pop()
+            else:
+                break
+        idx.append(k)
+    return np.asarray(idx)
 
 
 def cutting_plane_envelope(ts, gs, s_min=0.0, s_max=0.5, n_slopes=4097):

@@ -18,9 +18,12 @@ from maenv import (
     theta_cosine,
 )
 from maenv.errors import EmptySupport, NonConvergence
+from maenv.fields import random_theta_psh, step_band, supersolution_corpus
 from maenv.torus import MeasureDensity
+from maenv import obstacle
 from maenv.obstacle import (
     PenalizationSchedule,
+    _natural_residual,
     _psor_values,
     lower_bound_slack,
     orthogonality_defect,
@@ -186,6 +189,109 @@ class TestPsorSweepMatchesReference:
         )
         assert not ok and sweeps == 29
         assert len(history) == 29 // 8 + 2
+
+
+def crossing_min(grid, seed):
+    theta = theta_cosine(grid, 1.0)
+    rng = np.random.default_rng(seed)
+    u, w = (random_theta_psh(theta, rng).values for _ in range(2))
+    return np.minimum(u - u.mean(), w - w.mean())
+
+
+def null_band_mask(n):
+    mask = np.ones((n, n), bool)
+    mask[n // 2 - 2 : n // 2 + 2, :] = False
+    return mask
+
+
+# (name, obstacle(grid), constraint mask(n) or None): the orthogonality
+# scenario's smooth draws and lsc step band, the min-principle crossing
+# pairs, an envelope_mu mask and the viscosity pipeline's corpus
+CROSS_CHECK_CASES = (
+    [
+        (f"smooth-{seed}", lambda g, seed=seed: random_smooth_field(
+            g, np.random.default_rng(seed), modes=3, amplitude=0.2 + 0.4 * seed
+        ).values, None)
+        for seed in (0, 1, 2)
+    ]
+    + [("step-band", lambda g: step_band(g, 0.25, 0.75, -1.0)[1].values, None)]
+    + [(f"crossing-{seed}", lambda g, seed=seed: crossing_min(g, seed), None) for seed in (0, 1)]
+    + [("mu-mask", lambda g: smooth_obstacle(g.n), null_band_mask)]
+    + [
+        (f"corpus-{k}", lambda g, k=k: supersolution_corpus(g)[k].v.values, None)
+        for k in range(3)
+    ]
+)
+
+
+class TestActiveSetFinishMatchesPsor:
+    """psor_envelope (PSOR, then active-set steps) against PSOR run to its floor."""
+
+    TOL = 1e-9
+
+    @staticmethod
+    def reference(theta, hproj):
+        # 16n sweeps reach 1e-12 at n = 32 and the rounding floor (~3e-12)
+        # of the residual at n = 64
+        n = theta.shape[0]
+        init = np.full_like(hproj, float(hproj[np.isfinite(hproj)].min()))
+        u, _, res, _, _ = _psor_values(theta, hproj, 1e-12, 16 * n, init)
+        return u, res
+
+    def solve(self, theta, h, mask):
+        if mask is None:
+            return psor_envelope(theta, h, tol=self.TOL)
+        mu = MeasureDensity(GridField(h.grid, mask.astype(float)))
+        return envelope_mu(theta, h, mu, tol=self.TOL)
+
+    def check(self, n, make_obstacle, make_mask):
+        grid = TorusGrid(n)
+        theta = theta_cosine(grid, 1.0)  # the scenarios' theta
+        h = GridField(grid, make_obstacle(grid))
+        mask = None if make_mask is None else make_mask(n)
+        sol = self.solve(theta, h, mask)
+        hproj = h.values if mask is None else np.where(mask, h.values, np.inf)
+        th = theta.density.values
+        want, want_res = self.reference(th, hproj)
+        assert np.abs(sol.u.values - want).max() <= 1e-9
+        assert want_res <= self.TOL
+        assert sol.report.converged
+        assert sol.report.residual == _natural_residual(sol.u.values, hproj, th, grid.h)
+        assert sol.report.residual <= self.TOL
+        return sol
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize(
+        "make_obstacle, make_mask",
+        [case[1:] for case in CROSS_CHECK_CASES],
+        ids=[case[0] for case in CROSS_CHECK_CASES],
+    )
+    def test_agrees_with_psor(self, n, make_obstacle, make_mask):
+        sol = self.check(n, make_obstacle, make_mask)
+        report = sol.report
+        # the sweeps stopped at the first residual check (one history entry
+        # per 8 sweeps) below the handover residual, so PSOR never resumed;
+        # every active-set step after them appended its residual and ran
+        # CG, unless the sweeps alone certified
+        assert report.method == "psor"
+        assert report.iterations % 8 == 0
+        checks = report.iterations // 8
+        assert min(report.history[: checks - 1], default=np.inf) > obstacle._HANDOVER_TOL
+        steps = len(report.history) - checks
+        assert 0 <= steps <= obstacle._ACTIVE_SET_STEPS
+        assert (steps > 0) == (report.cg_iterations > 0)
+        assert report.history[-1] == report.residual
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize(
+        "make_obstacle, make_mask",
+        [case[1:] for case in CROSS_CHECK_CASES[::3]],
+        ids=[case[0] for case in CROSS_CHECK_CASES[::3]],
+    )
+    def test_fallback_to_psor_still_certifies(self, monkeypatch, n, make_obstacle, make_mask):
+        monkeypatch.setattr(obstacle, "_ACTIVE_SET_STEPS", 0)
+        sol = self.check(n, make_obstacle, make_mask)
+        assert sol.report.cg_iterations == 0
 
 
 METAMORPHIC_CASES = [(n, seed) for n in (16, 32) for seed in (0, 1, 2)]

@@ -16,9 +16,9 @@ from maenv import (
     radial_ma_mass,
 )
 from maenv.errors import OrderViolation
-from maenv.radial import measure_to_csv
+from maenv.radial import _lower_hull, measure_to_csv
 
-from oracles import cutting_plane_envelope, halfplane_log1pexp
+from oracles import cutting_plane_envelope, halfplane_log1pexp, lower_hull_reference
 
 
 def sigma(t):
@@ -83,6 +83,31 @@ class TestConstrainedConvexEnvelope:
             assert np.abs(got - oracle).max() < 1e-2  # oracle tight to slope spacing
             again = constrained_convex_envelope(ts, got)
             assert np.abs(again(ts) - got).max() < 1e-10  # idempotent
+
+    def test_hull_scan_matches_numpy_scalar_reference(self):
+        # 4096 samples; the integer-valued piecewise-linear profiles on the
+        # integer axis have exactly collinear runs, where the scan pops on
+        # equality, and the others exercise rounding in the orientation test
+        rng = np.random.default_rng(7)
+        ts = TAxis(-40.0, 40.0, 4096).ts
+        ints = np.arange(-2048.0, 2048.0)
+        knots = np.sort(rng.choice(ints, 8, replace=False))
+        profiles = [
+            (ts, 0.5 * np.logaddexp(0.0, ts)),
+            (ts, np.abs(ts)),
+            (ts, np.cumsum(rng.normal(size=ts.size))),
+            (ts, 0.01 * ts**2 + rng.uniform(-1.0, 1.0, ts.size)),
+            (ints, np.abs(ints)),
+            (ints, np.interp(ints, knots, rng.integers(-50, 50, knots.size).astype(float))),
+            (ints, np.maximum(3.0 * ints, -2.0 * ints) // 7),
+        ]
+        for xs, gs in profiles:
+            got = _lower_hull(xs, gs)
+            want = lower_hull_reference(xs, gs)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # collinear runs keep only their end points
+        assert np.array_equal(_lower_hull(ints, np.abs(ints)), [0, 2048, 4095])
 
     def test_crossed_slope_bounds_raise(self):
         ts = np.linspace(-1.0, 1.0, 128)
