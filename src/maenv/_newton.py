@@ -21,7 +21,9 @@ with that factorization, a lagged-Jacobian preconditioner: the matrices of
 consecutive steps differ only in the diagonal.  If CG does not reach the
 relative residual ``_CG_RTOL`` within ``_CG_MAXITER`` iterations, the current
 matrix is factored and solved directly, and that factorization preconditions
-the steps after it.
+the steps after it.  The CG loop, :func:`conjugate_gradients`, is shared with
+the obstacle solver's free-set solves; its dot products avoid BLAS, so a
+solve gives the same bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +41,41 @@ _EXP_CAP = 500.0  # cap on exponents; keeps overflow out of the line search
 _CG_RTOL = 1e-12  # relative residual of each preconditioned CG solve
 _CG_MAXITER = 50  # CG iterations before the step refactors and solves directly
 
-__all__ = ["SolverReport", "newton_semilinear"]
+__all__ = ["SolverReport", "conjugate_gradients", "newton_semilinear"]
+
+
+def _dot(a, b):
+    # einsum, not BLAS: no worker threads, and the same sum at any thread count
+    return float(np.einsum("i,i->", a, b))
+
+
+def conjugate_gradients(matvec, b, precondition, rtol, maxiter):
+    """Preconditioned conjugate gradients for a symmetric positive definite system.
+
+    Starts from x = 0 and stops once the residual norm is at most ``rtol``
+    times that of ``b``.  ``matvec`` applies the operator and
+    ``precondition`` the preconditioner's inverse.  Returns ``(x,
+    iterations, converged)``.
+    """
+    x = np.zeros_like(b)
+    stop = rtol * np.sqrt(_dot(b, b))
+    if stop == 0.0:
+        return x, 0, True
+    r = b.copy()
+    z = precondition(r)
+    p = z
+    rz = _dot(r, z)
+    for it in range(1, maxiter + 1):
+        q = matvec(p)
+        alpha = rz / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        if np.sqrt(_dot(r, r)) <= stop:
+            return x, it, True
+        z = precondition(r)
+        rz, rz_old = _dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return x, maxiter, False
 
 
 @dataclass
@@ -79,24 +115,17 @@ class _LaggedLU:
     def solve(self, w, g):
         m = sp.diags(w) - self.cmat
         if self.lu is not None:
-            delta, info = spla.cg(
-                m,
-                g,
-                rtol=_CG_RTOL,
-                maxiter=_CG_MAXITER,
-                M=spla.LinearOperator(m.shape, matvec=self.lu.solve),
-                callback=self._count,
+            delta, its, converged = conjugate_gradients(
+                m.dot, g, self.lu.solve, _CG_RTOL, _CG_MAXITER
             )
-            if info == 0:
+            self.cg_iterations += its
+            if converged:
                 return delta
         # minimum degree on A^T + A suits the symmetric pattern (about half
         # the fill of the default column ordering)
         self.lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1
         return self.lu.solve(g)
-
-    def _count(self, _):
-        self.cg_iterations += 1
 
 
 def newton_semilinear(
@@ -149,7 +178,7 @@ def newton_semilinear(
         )
 
     g, weight = residual(phi)
-    merit = float(g @ g)
+    merit = _dot(g, g)
     history, damping = [], []
     it = 0
     while it < max_iter:
@@ -167,7 +196,7 @@ def newton_semilinear(
         stalled = False
         while True:
             g_new, weight_new = residual(phi + step * full_delta)
-            merit_new = float(g_new @ g_new)
+            merit_new = _dot(g_new, g_new)
             if np.isfinite(merit_new) and (
                 merit_new <= merit * (1.0 - 1e-4 * step) or merit_new <= tol * tol
             ):

@@ -7,8 +7,15 @@ program:
 * ``energy_Ip``  -- I_p(u, v) = integral |u-v|^p (ma(u) + ma(v)), the
   quasi-metric whose quasi-triangle constant is certified below;
 * ``capacity``   -- sup of the ma-mass placed on a set by potentials
-  squeezed into [V_theta - 1, V_theta]: an exact linear program on small
-  grids, or a lower bound witnessed by the relative extremal envelope;
+  squeezed into [V_theta - 1, V_theta]: on small grids the exact optimum
+  of that linear program, otherwise a lower bound.  Both modes evaluate the
+  relative extremal envelope (Bedford & Taylor, Acta Math. 149, 1982): the
+  capacity is the ma-mass on the set of the envelope of the obstacle equal
+  to the lower bound on the set and the upper bound off it.  The exact mode
+  also certifies it by linear-programming duality: the dual certificate is
+  the discrete harmonic measure of the set relative to the envelope's
+  contact set, and the value is returned only when the duality gap is
+  within the solver tolerance;
 * ``generalized_capacity`` -- the same with arbitrary bounds;
 * ``cap_convergence_metric`` -- capacities of exceedance sets, certifying
   convergence in capacity.
@@ -19,15 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import InfeasibleMask, NonConvergence, OrderViolation
-from .obstacle import psor_envelope
+from .errors import InfeasibleMask, NonConvergence, NoSubsolution, OrderViolation
+from .obstacle import _free_set_solve, psor_envelope
 from .torus import (
     GridField,
     ThetaDensity,
     constant_field,
-    laplacian_matrix,
+    curvature_values,
     ma_density,
 )
 
@@ -41,7 +47,7 @@ __all__ = [
     "cap_convergence_metric",
 ]
 
-EXACT_CAPACITY_LIMIT = 64  # largest grid for the exact linear program
+EXACT_CAPACITY_LIMIT = 64  # largest grid for the certified exact capacity
 
 
 def extremal_field(theta: ThetaDensity, psor_tol: float = 1e-9) -> GridField:
@@ -91,8 +97,16 @@ def quasi_triangle_check(
 
 @dataclass
 class CapacityResult:
+    """Capacity value, the field that attains it and, in exact mode, its duality gap.
+
+    ``gap`` is the certified distance between ``value`` and the linear
+    program's optimum; it is None when no certificate was computed (the
+    lower-bound mode and the empty set).
+    """
+
     value: float
     witness: GridField
+    gap: float | None = None
 
 
 def _mask_array(grid, e_mask) -> np.ndarray:
@@ -102,48 +116,86 @@ def _mask_array(grid, e_mask) -> np.ndarray:
     return mask
 
 
-def _exact_capacity(theta, mask, low, high):
-    """Maximize the ma-mass on the mask over low <= u <= high, ma(u) >= 0.
+def _capacity(theta, mask, low, high, mode, psor_tol):
+    """Ma-mass on the mask of the envelope of low on the mask and high off it.
 
-    The objective and constraints are affine in u, so the maximizer is a
-    vertex of a polytope; delegated to a simplex/interior solver.
+    This is the relative extremal witness; ``mode='exact'`` also certifies
+    its mass as the optimum of the capacity linear program.
     """
     grid = theta.grid
-    n = grid.n
-    if n > EXACT_CAPACITY_LIMIT:
+    if mode not in ("exact", "lower_bound"):
+        raise ValueError(f"unknown capacity mode {mode!r}")
+    if mode == "exact" and grid.n > EXACT_CAPACITY_LIMIT:
         raise ValueError(
             f"exact capacity is restricted to N <= {EXACT_CAPACITY_LIMIT} "
-            f"(got {n}); use mode='lower_bound'"
+            f"(got {grid.n}); use mode='lower_bound'"
         )
-    cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsc()
-    ind = mask.ravel().astype(float)
-    # ma-mass on E = h^2 * (theta_E + (C u)_E); only the u part varies
-    objective = -(grid.h**2) * (cmat @ ind)
-    result = linprog(
-        objective,
-        A_ub=-cmat,
-        b_ub=theta.density.values.ravel(),
-        bounds=np.column_stack([low.ravel(), high.ravel()]),
-        method="highs",
-    )
-    if not result.success:
-        raise NonConvergence(
-            f"capacity linear program failed: {result.message}",
-            residual=float("nan"),
-            iterations=int(getattr(result, "nit", 0) or 0),
-        )
-    witness = GridField(grid, result.x.reshape(n, n))
-    value = float((ma_density(theta, witness).values * mask).sum()) * grid.h**2
-    return CapacityResult(value, witness)
-
-
-def _witness_capacity(theta, mask, low, high, psor_tol):
-    """Lower bound from the relative extremal envelope of the (low, high) drop."""
-    grid = theta.grid
     obstacle = GridField(grid, np.where(mask, low, high))
-    witness = psor_envelope(theta, obstacle, tol=psor_tol).u
-    value = float((ma_density(theta, witness).values * mask).sum()) * grid.h**2
-    return CapacityResult(value, witness)
+    solution = psor_envelope(theta, obstacle, tol=psor_tol)
+    value = float((ma_density(theta, solution.u).values * mask).sum()) * grid.h**2
+    if mode == "lower_bound":
+        return CapacityResult(value, solution.u)
+    return _exact_capacity(theta, mask, low, high, solution, value, psor_tol)
+
+
+def _exact_capacity(theta, mask, low, high, solution, value, psor_tol):
+    """Certify ``value`` as the optimum of the capacity linear program.
+
+    The program maximizes the ma-mass on the mask E over low <= u <= high,
+    ma(u) >= 0.  The primal witness is w = P(g), the envelope ``solution``
+    of g = low on E, high off E, and ``value`` is its ma-mass on E.  The
+    dual certificate is the discrete harmonic measure q of E relative to
+    A = E together with the contact set {w = high} off E: q = 1 on E, q = 0
+    on the rest of A, curvature(q) = 0 on the free sites.
+
+    Weak duality: for any y >= 0 set q = 1_E + y and split curvature(q) =
+    z_high - z_low into its positive and negative parts.  Since curvature
+    is symmetric, every feasible u has
+
+        h^2 sum_E (theta + curvature(u))
+            = h^2 (sum_E theta + q.curvature(u) - y.curvature(u))
+            <= h^2 (sum_E theta + z_high.high - z_low.low + y.theta),
+
+    because y.(theta + curvature(u)) >= 0 and z_high, z_low >= 0.  With y
+    = q on the free sites the bound is tight at w by complementarity, and
+    the maximum principle gives the signs: 0 <= q <= 1, so y >= 0; on E,
+    where q = 1 is the maximum, curvature(q) <= 0 meets w = low; on the
+    contact set, where q = 0 is the minimum, curvature(q) >= 0 meets w =
+    high; on the free sites curvature(q) = 0 and theta + curvature(w) = 0.
+
+    The exact mode therefore needs an admissible lower bound: when low is
+    theta-psh, w >= low and w is feasible.  Raises :class:`NoSubsolution`
+    when w < low - psor_tol somewhere, and :class:`NonConvergence` (the gap
+    as ``residual``) when the gap exceeds psor_tol.
+    """
+    grid = theta.grid
+    w = solution.u.values
+    shortfall = float((low - w).max())
+    if shortfall > psor_tol:
+        raise NoSubsolution(
+            f"the envelope falls {shortfall:.3e} below the lower bound; "
+            "exact capacity needs a theta-psh lower bound"
+        )
+    th = theta.density.values
+    ind = mask.astype(float)
+    free = ~(mask | solution.contact_mask)
+    q, _ = _free_set_solve(ind, np.zeros_like(th), grid.h, free.ravel())
+    np.maximum(q, 0.0, out=q)
+    z = curvature_values(q, grid.h)
+    dual = grid.h**2 * (
+        float(th[mask].sum())
+        + float((np.maximum(z, 0.0) * high).sum())
+        - float((np.maximum(-z, 0.0) * low).sum())
+        + float(((q - ind) * th).sum())
+    )
+    result = CapacityResult(value, solution.u, dual - value)
+    if not abs(result.gap) <= psor_tol:
+        raise NonConvergence(
+            f"capacity duality gap {result.gap:.3e} exceeds {psor_tol:.1e}",
+            best=result,
+            residual=result.gap,
+        )
+    return result
 
 
 def capacity(
@@ -155,9 +207,11 @@ def capacity(
 ) -> CapacityResult:
     """Capacity of a grid set: sup of ma-mass on it over V-1 <= u <= V.
 
-    ``mode='exact'`` solves the linear program (grids up to
-    ``EXACT_CAPACITY_LIMIT``); ``mode='lower_bound'`` evaluates the envelope
-    of V - 1_E, the relative extremal witness, on any grid.
+    Both modes evaluate the envelope of V - 1_E, the relative extremal
+    witness.  ``mode='exact'`` (grids up to ``EXACT_CAPACITY_LIMIT``) also
+    certifies it as the linear program's optimum by a duality gap at most
+    ``psor_tol``, kept in the result's ``gap``; ``mode='lower_bound'`` runs
+    on any grid and certifies nothing.
     """
     grid = theta.grid
     mask = _mask_array(grid, e_mask)
@@ -165,13 +219,7 @@ def capacity(
         v_theta = extremal_field(theta, psor_tol)
     if not mask.any():
         return CapacityResult(0.0, v_theta)
-    if mode == "exact":
-        return _exact_capacity(theta, mask, v_theta.values - 1.0, v_theta.values)
-    if mode == "lower_bound":
-        return _witness_capacity(
-            theta, mask, v_theta.values - 1.0, v_theta.values, psor_tol
-        )
-    raise ValueError(f"unknown capacity mode {mode!r}")
+    return _capacity(theta, mask, v_theta.values - 1.0, v_theta.values, mode, psor_tol)
 
 
 def generalized_capacity(
@@ -184,9 +232,10 @@ def generalized_capacity(
 ) -> CapacityResult:
     """Capacity with arbitrary pointwise bounds phi_low <= u <= psi_high.
 
-    The lower-bound witness is the envelope of psi_high dropped to phi_low
-    on the set; it is feasible whenever phi_low is itself admissible.
-    Raises :class:`OrderViolation` when the bounds cross.
+    The witness is the envelope of psi_high dropped to phi_low on the set;
+    it is feasible whenever phi_low is itself admissible, which the exact
+    mode requires (:class:`NoSubsolution` otherwise).  Raises
+    :class:`OrderViolation` when the bounds cross.
     """
     grid = theta.grid
     mask = _mask_array(grid, e_mask)
@@ -194,11 +243,7 @@ def generalized_capacity(
         raise OrderViolation("lower bound exceeds upper bound somewhere")
     if not mask.any():
         return CapacityResult(0.0, psi_high)
-    if mode == "exact":
-        return _exact_capacity(theta, mask, phi_low.values, psi_high.values)
-    if mode == "lower_bound":
-        return _witness_capacity(theta, mask, phi_low.values, psi_high.values, psor_tol)
-    raise ValueError(f"unknown capacity mode {mode!r}")
+    return _capacity(theta, mask, phi_low.values, psi_high.values, mode, psor_tol)
 
 
 def cap_convergence_metric(

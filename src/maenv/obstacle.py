@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._newton import SolverReport, newton_semilinear
+from ._newton import SolverReport, conjugate_gradients, newton_semilinear
 from .errors import EmptySupport, NonConvergence
 from .torus import (
     GridField,
@@ -207,11 +207,6 @@ def _inverse_symbol(n):
     return inv
 
 
-def _dot(a, b):
-    # einsum, not BLAS: no worker threads, and the same sum at any thread count
-    return float(np.einsum("i,i->", a, b))
-
-
 def _free_set_solve(u, theta, h, free):
     """Solve theta + curvature(u) = 0 on the free sites, u fixed elsewhere.
 
@@ -242,26 +237,10 @@ def _free_set_solve(u, theta, h, free):
 
     else:
         precondition = np.copy
-    stop = _CG_RTOL * np.sqrt(_dot(r, r))
-    if stop == 0.0:
-        return u, 0
-    e = np.zeros_like(r)
-    z = precondition(r)
-    p = z
-    rz = _dot(r, z)
-    for it in range(1, _CG_MAXITER + 1):
-        q = op @ p
-        alpha = rz / _dot(p, q)
-        e += alpha * p
-        r -= alpha * q
-        if np.sqrt(_dot(r, r)) <= stop:
-            break
-        z = precondition(r)
-        rz, rz_old = _dot(r, z), rz
-        p = z + (rz / rz_old) * p
+    e, its, _ = conjugate_gradients(op.dot, r, precondition, _CG_RTOL, _CG_MAXITER)
     out = u.copy()
     out.ravel()[idx] += e
-    return out, it
+    return out, its
 
 
 def _active_set_finish(u, theta, hproj, mask, tol, history):

@@ -13,7 +13,9 @@ projected SOR sweep; :func:`roll_neighbor_sum`, the neighbour sum by
 brute force over every shift; and :func:`lower_hull_reference`, the radial
 hull scan on numpy scalars.  :func:`newton_direct_reference`, damped Newton
 with a fresh sparse LU per step, must agree with the factorization-reusing
-Newton to rounding.
+Newton to rounding.  :func:`capacity_lp_reference` hands the capacity
+linear program to a general simplex solver, where the library certifies the
+envelope's value by a duality gap.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.ndimage import convolve
+from scipy.optimize import linprog
 
 from maenv._newton import _EXP_CAP, SolverReport
 from maenv.errors import NewtonStall, NonConvergence
@@ -369,6 +372,43 @@ def capacity_subset_ascent(theta, mask, seeds=10, sample=40, psor_tol=1e-9):
                     break
         finals.append(best)
     return finals
+
+
+def capacity_lp_reference(theta, mask, low, high):
+    """Maximize the ma-mass on the mask over low <= u <= high, ma(u) >= 0.
+
+    The capacity linear program handed to the HiGHS simplex/interior solver
+    as is: the objective and constraints are affine in u, so the maximizer
+    is a vertex of a polytope.  Checks the library's certified exact mode,
+    which never forms the program.  Returns the value and the solver's
+    vertex as a :class:`CapacityResult`.
+    """
+    from maenv.energy import CapacityResult
+    from maenv.torus import GridField, ma_density
+
+    grid = theta.grid
+    n = grid.n
+    mask = np.asarray(mask, dtype=bool)
+    cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsc()
+    ind = mask.ravel().astype(float)
+    # ma-mass on E = h^2 * (theta_E + (C u)_E); only the u part varies
+    objective = -(grid.h**2) * (cmat @ ind)
+    result = linprog(
+        objective,
+        A_ub=-cmat,
+        b_ub=theta.density.values.ravel(),
+        bounds=np.column_stack([np.ravel(low), np.ravel(high)]),
+        method="highs",
+    )
+    if not result.success:
+        raise NonConvergence(
+            f"capacity linear program failed: {result.message}",
+            residual=float("nan"),
+            iterations=int(getattr(result, "nit", 0) or 0),
+        )
+    witness = GridField(grid, result.x.reshape(n, n))
+    value = float((ma_density(theta, witness).values * mask).sum()) * grid.h**2
+    return CapacityResult(value, witness)
 
 
 _STENCIL = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import maenv.energy
 from maenv import (
     GridField,
     ThetaDensity,
@@ -19,10 +20,12 @@ from maenv.energy import (
     generalized_capacity,
     quasi_triangle_check,
 )
-from maenv.errors import InfeasibleMask, OrderViolation
+from maenv.errors import InfeasibleMask, NonConvergence, NoSubsolution, OrderViolation
+from maenv.fields import random_theta_psh, theta_cosine
+from maenv.scenarios import _sandwich_masks
 from maenv.torus import curvature_values
 
-from oracles import capacity_subset_ascent, ip_pairing_quadrature
+from oracles import capacity_lp_reference, capacity_subset_ascent, ip_pairing_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +266,72 @@ class TestGeneralizedCapacity:
         low = GridField(g, v.values - 1.0)
         res = generalized_capacity(th, low, v, np.zeros((g.n, g.n), bool))
         assert res.value == 0.0
+
+
+def site_masks(n):
+    """One site, and two sites far apart: sets whose capacity stays below the total mass."""
+    one = np.zeros((n, n), bool)
+    one[n // 2, n // 2] = True
+    two = one.copy()
+    two[n // 4, n // 3] = True
+    return [one, two]
+
+
+class TestExactCapacityMatchesLp:
+    """The certified exact mode against the capacity LP solved by HiGHS."""
+
+    @staticmethod
+    def assert_matches(theta, low, high, mask):
+        got = generalized_capacity(theta, GridField(theta.grid, low), GridField(theta.grid, high), mask)
+        want = capacity_lp_reference(theta, mask, low, high)
+        assert abs(got.value - want.value) <= 1e-9
+        assert abs(got.gap) <= 1e-9
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_sandwich_and_site_masks(self, n):
+        grid = TorusGrid(n)
+        theta = theta_cosine(grid, 1.0)
+        v = extremal_field(theta)
+        masks = _sandwich_masks(grid, 4, np.random.default_rng(n)) + site_masks(n)
+        for mask in masks:
+            for t in (1.0, 2.0, 5.0):
+                self.assert_matches(theta, v.values - t, v.values, mask)
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_random_admissible_lows_on_a_cosine_density(self, n):
+        # a theta-psh field <= 0 lies below V_theta, so it is an admissible low
+        grid = TorusGrid(n)
+        theta = theta_cosine(grid, 1.0, 0.8)
+        v = extremal_field(theta)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            u = random_theta_psh(theta, rng).values
+            low = u - u.max() - rng.uniform(0.0, 0.5)
+            mask = rng.random((n, n)) < rng.uniform(0.01, 0.2)
+            self.assert_matches(theta, low, v.values, mask)
+
+    def test_non_admissible_low_raises(self, small):
+        # the lower bound spikes at the centre of a 3 x 3 set: there the
+        # envelope is at most the mean of its four neighbours, which are at
+        # most V - 1, plus 2 pi h^2 theta / 4, so it falls under the bound
+        g, th = small
+        v = extremal_field(th)
+        mask = np.zeros((g.n, g.n), bool)
+        mask[9:12, 9:12] = True
+        low = v.values - 1.0
+        low[10, 10] = v.values[10, 10] - 0.01
+        with pytest.raises(NoSubsolution):
+            generalized_capacity(th, GridField(g, low), v, mask)
+
+    def test_gap_above_tolerance_raises(self, small_with_point_mask, monkeypatch):
+        # without the harmonic-measure solve the dual point is y = 0, still
+        # feasible but loose: its gap is a valid bound far above tolerance
+        g, th, mask = small_with_point_mask
+        monkeypatch.setattr(maenv.energy, "_free_set_solve", lambda u, theta, h, free: (u, 0))
+        with pytest.raises(NonConvergence) as info:
+            capacity(th, mask)
+        assert info.value.residual > 1e-9
+        assert info.value.residual == info.value.best.gap
 
 
 class TestConvergenceInCapacity:

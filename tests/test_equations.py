@@ -1,5 +1,10 @@
 """Exponential Monge-Ampère solves, min-composition, Perron folding."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -327,3 +332,39 @@ class TestNewtonMatchesDirectReference:
         self.assert_match(pairs, one_factorization=False)
         for (_, rep), _ in pairs:
             assert rep.factorizations == rep.iterations
+
+
+_SCHEDULE_DIGEST = """
+import hashlib
+import numpy as np
+from maenv import GridField, MeasureDensity, ThetaDensity, TorusGrid, constant_field
+from maenv.obstacle import penalized_step
+
+grid = TorusGrid(128)
+theta = ThetaDensity(constant_field(grid, 1.0))
+mu = MeasureDensity(constant_field(grid, 1.0))
+x, y = grid.coords()
+v = GridField(grid, np.where(np.abs(x - 0.5) < 0.25, -1.0, 0.0) + 0.25 * np.abs(y - 0.5))
+phi, digest = None, hashlib.sha256()
+for k in range(12):
+    phi, _ = penalized_step(theta, v, mu, 2.0**k, init=phi)
+    digest.update(phi.values.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_newton_fields_do_not_depend_on_blas_threads():
+    # a penalized schedule at n = 128, whose vectors are long enough for
+    # OpenBLAS to split a dot product between threads, run in two fresh
+    # interpreters that differ only in the BLAS thread count
+    src = str(Path(maenv._newton.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _SCHEDULE_DIGEST],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
