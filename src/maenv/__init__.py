@@ -78,7 +78,6 @@ from .equations import (
     supersolution_check,
 )
 from .energy import (
-    EXACT_CAPACITY_LIMIT,
     CapacityResult,
     QuasiTriangleResult,
     cap_convergence_metric,

@@ -7,15 +7,15 @@ program:
 * ``energy_Ip``  -- I_p(u, v) = integral |u-v|^p (ma(u) + ma(v)), the
   quasi-metric whose quasi-triangle constant is certified below;
 * ``capacity``   -- sup of the ma-mass placed on a set by potentials
-  squeezed into [V_theta - 1, V_theta]: on small grids the exact optimum
-  of that linear program, otherwise a lower bound.  Both modes evaluate the
-  relative extremal envelope (Bedford & Taylor, Acta Math. 149, 1982): the
-  capacity is the ma-mass on the set of the envelope of the obstacle equal
-  to the lower bound on the set and the upper bound off it.  The exact mode
-  also certifies it by linear-programming duality: the dual certificate is
-  the discrete harmonic measure of the set relative to the envelope's
-  contact set, and the value is returned only when the duality gap is
-  within the solver tolerance;
+  squeezed into [V_theta - 1, V_theta], the optimum of a linear program.
+  Both modes evaluate the relative extremal envelope (Bedford & Taylor,
+  Acta Math. 149, 1982): the capacity is the ma-mass on the set of the
+  envelope of the obstacle equal to the lower bound on the set and the
+  upper bound off it.  The exact mode also certifies it by linear-
+  programming duality: the dual certificate is the discrete harmonic
+  measure of the set relative to the envelope's exact contact set, and the
+  value is returned only when the duality gap is within the solver
+  tolerance;
 * ``generalized_capacity`` -- the same with arbitrary bounds;
 * ``cap_convergence_metric`` -- capacities of exceedance sets, certifying
   convergence in capacity.
@@ -46,9 +46,6 @@ __all__ = [
     "generalized_capacity",
     "cap_convergence_metric",
 ]
-
-EXACT_CAPACITY_LIMIT = 64  # largest grid for the certified exact capacity
-
 
 def extremal_field(theta: ThetaDensity, psor_tol: float = 1e-9) -> GridField:
     """V_theta: the envelope of the zero obstacle (minimal-singularity potential)."""
@@ -125,11 +122,6 @@ def _capacity(theta, mask, low, high, mode, psor_tol):
     grid = theta.grid
     if mode not in ("exact", "lower_bound"):
         raise ValueError(f"unknown capacity mode {mode!r}")
-    if mode == "exact" and grid.n > EXACT_CAPACITY_LIMIT:
-        raise ValueError(
-            f"exact capacity is restricted to N <= {EXACT_CAPACITY_LIMIT} "
-            f"(got {grid.n}); use mode='lower_bound'"
-        )
     obstacle = GridField(grid, np.where(mask, low, high))
     solution = psor_envelope(theta, obstacle, tol=psor_tol)
     value = float((ma_density(theta, solution.u).values * mask).sum()) * grid.h**2
@@ -145,8 +137,9 @@ def _exact_capacity(theta, mask, low, high, solution, value, psor_tol):
     ma(u) >= 0.  The primal witness is w = P(g), the envelope ``solution``
     of g = low on E, high off E, and ``value`` is its ma-mass on E.  The
     dual certificate is the discrete harmonic measure q of E relative to
-    A = E together with the contact set {w = high} off E: q = 1 on E, q = 0
-    on the rest of A, curvature(q) = 0 on the free sites.
+    A = E together with the contact set {w = high} off E, the solution's
+    exact ``contact_mask``: q = 1 on E, q = 0 on the rest of A,
+    curvature(q) = 0 on the free sites.
 
     Weak duality: for any y >= 0 set q = 1_E + y and split curvature(q) =
     z_high - z_low into its positive and negative parts.  Since curvature
@@ -208,10 +201,9 @@ def capacity(
     """Capacity of a grid set: sup of ma-mass on it over V-1 <= u <= V.
 
     Both modes evaluate the envelope of V - 1_E, the relative extremal
-    witness.  ``mode='exact'`` (grids up to ``EXACT_CAPACITY_LIMIT``) also
-    certifies it as the linear program's optimum by a duality gap at most
-    ``psor_tol``, kept in the result's ``gap``; ``mode='lower_bound'`` runs
-    on any grid and certifies nothing.
+    witness.  ``mode='exact'`` also certifies it as the linear program's
+    optimum by a duality gap at most ``psor_tol``, kept in the result's
+    ``gap``; ``mode='lower_bound'`` certifies nothing.
     """
     grid = theta.grid
     mask = _mask_array(grid, e_mask)

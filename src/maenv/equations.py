@@ -100,14 +100,16 @@ def pmin_compose(
     """Envelope of min(u, v) and the defect of the partition inequality.
 
     The defect field is ma(phi) - [1_{phi=u} ma(u) + 1_{phi=v} ma(v)] with the
-    contact masks taken at the envelope's ``contact_tol``; its positive part
-    is at solver scale for admissible u, v, while its L1 norm shrinks
-    linearly with the grid spacing (the detachment ring carries O(h) mass).
+    contact masks taken at the tolerance ``contact_tol`` = 1e-6 * (1 +
+    max |min(u, v)|); its positive part is at solver scale for admissible
+    u, v, while its L1 norm shrinks linearly with the grid spacing (the
+    detachment ring carries O(h) mass).
     """
     grid = theta.grid
     obstacle = GridField(grid, np.minimum(u.values, v.values))
     sol = psor_envelope(theta, obstacle, tol=psor_tol)
-    phi, contact_tol = sol.u, sol.contact_tol
+    phi = sol.u
+    contact_tol = 1e-6 * (1.0 + float(np.abs(obstacle.values).max()))
     mask_u = phi.values >= u.values - contact_tol
     mask_v = phi.values >= v.values - contact_tol
     claimed = mask_u * ma_density(theta, u).values + mask_v * ma_density(theta, v).values

@@ -76,13 +76,18 @@ __all__ = [
 
 @dataclass
 class ObstacleSolution:
-    """Envelope below an obstacle: field, contact set and complementarity data."""
+    """Envelope below an obstacle: field, contact set and complementarity data.
+
+    ``contact_mask`` flags the constrained sites where u equals the obstacle
+    exactly.  Every solver route writes the obstacle's value there bit for
+    bit: the projection takes min(u, h), and an active-set step sets u = h on
+    its contact set and moves only the free sites.
+    """
 
     u: GridField
     contact_mask: np.ndarray
     complementarity_defect: float
     report: SolverReport
-    contact_tol: float
 
 
 def _natural_residual(u, hproj, theta, h):
@@ -324,12 +329,10 @@ def psor_envelope(
             sweeps += more
             history += rest
     report = SolverReport("psor", sweeps, res, ok, history, cg_iterations=cg_iterations)
-    contact_tol = 1e-6 * (1.0 + float(np.abs(obstacle.values[mask]).max()))
     w = th + curvature_values(u, grid.h)
     gap = np.where(mask, obstacle.values - u, 0.0)
-    contact = mask & (gap <= contact_tol)
     defect = float((gap * w).sum()) * grid.h**2
-    solution = ObstacleSolution(GridField(grid, u), contact, defect, report, contact_tol)
+    solution = ObstacleSolution(GridField(grid, u), mask & (u == obstacle.values), defect, report)
     if not ok:
         raise NonConvergence(
             f"projected SOR stalled at residual {res:.3e} after {sweeps} sweeps",

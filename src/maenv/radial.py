@@ -16,7 +16,8 @@ Sampling convention for discontinuous obstacles: the sample at a jump takes
 the lower-semicontinuous value when the obstacle is fed to the envelope (the
 envelope is blind to upper values at single samples, but the hull needs the
 lower one to pin the kink).  Integrands such as the orthogonality defect use
-the plain function values; ops that need both accept them separately.
+the plain function values against the envelope computed from the
+lower-semicontinuous ones.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from .errors import InfeasibleMask, OrderViolation
 
@@ -189,7 +189,7 @@ def radial_envelope(h, axis: TAxis) -> RadialProfile:
     should carry the lower-semicontinuous value (see module docstring).
     """
     h = np.asarray(h, dtype=np.float64)
-    rho = 0.5 * np.logaddexp(0.0, axis.ts)
+    rho = fs_potential(axis).values
     env = constrained_convex_envelope(axis.ts, h + rho, 0.0, 0.5)
     return RadialProfile(axis, env(axis.ts))
 
@@ -228,6 +228,12 @@ class SlopeMeasure:
         return [(float(ts[i]), float(self.masses[i])) for i in self.atom_indices]
 
 
+def _window_median(x: np.ndarray) -> np.ndarray:
+    """Median of the 9 samples centred at each sample, the ends repeated outward."""
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, 4, mode="edge"), 9)
+    return np.median(windows, axis=1)
+
+
 def radial_ma_mass(profile: RadialProfile, n: int) -> SlopeMeasure:
     """Slope measure of a convex profile: cumulative F, atoms, boundary mass.
 
@@ -248,7 +254,7 @@ def radial_ma_mass(profile: RadialProfile, n: int) -> SlopeMeasure:
 
     jumps = np.diff(s)  # jump at sample k is jumps[k] = s_{k+1} - s_k, k = 0..m-2
     pos = np.maximum(jumps, 0.0)
-    ambient = median_filter(pos, size=9, mode="nearest")
+    ambient = _window_median(pos)
     floor = 1e-9 * max(1.0, float(np.abs(s).max()))
     atom_mask = pos > _ATOM_FACTOR * ambient + floor
     atom_indices = np.nonzero(atom_mask)[0]
@@ -270,21 +276,17 @@ def radial_ma_mass(profile: RadialProfile, n: int) -> SlopeMeasure:
     )
 
 
-def orthogonality_defect_radial(h, axis: TAxis, n: int, solver_h=None) -> float:
+def orthogonality_defect_radial(h, profile: RadialProfile, measure: SlopeMeasure) -> float:
     """Integral of (h - P(h)) against the measure of the envelope's profile.
 
-    ``solver_h`` (defaulting to h) is the sampling fed to the envelope; pass
-    the lower-semicontinuous sampling there when h has jumps while keeping the
-    plain function values in h itself.  Nonnegative; vanishes for obstacles
-    continuous at grid scale, and picks up exactly the atom contributions for
-    two-valued steps.
+    ``profile`` is the envelope's profile ``radial_envelope(h_lsc, axis)``
+    and ``measure`` its ``radial_ma_mass``; h carries the plain function
+    values, while the envelope was fed the lower-semicontinuous sampling when
+    h has jumps.  Nonnegative; vanishes for obstacles continuous at grid
+    scale, and picks up exactly the atom contributions for two-valued steps.
     """
     h = np.asarray(h, dtype=np.float64)
-    hs = h if solver_h is None else np.asarray(solver_h, dtype=np.float64)
-    profile = radial_envelope(hs, axis)
-    measure = radial_ma_mass(profile, n)
-    rho = 0.5 * np.logaddexp(0.0, axis.ts)
-    potential = profile.values - rho
+    potential = profile.values - fs_potential(profile.axis).values
     gap = h - potential
     defect = float(np.dot(gap[:-1], measure.masses))
     defect += gap[0] * measure.boundary_mass
@@ -337,15 +339,3 @@ def ball_step_obstacle(axis: TAxis) -> tuple:
     h = np.where(ts < 0.0, -1.0, 0.0)
     h_lsc = np.where(ts <= 0.0, -1.0, 0.0)
     return h, h_lsc
-
-
-def measure_to_csv(measure: SlopeMeasure) -> str:
-    rows = ["t,cumulative,mass,is_atom"]
-    ts = measure.axis.ts
-    atom_set = set(int(i) for i in measure.atom_indices)
-    for k in range(ts.size - 1):
-        rows.append(
-            f"{ts[k]:.17g},{measure.cumulative[k]:.17g},{measure.masses[k]:.17g},{int(k in atom_set)}"
-        )
-    rows.append(f"{ts[-1]:.17g},{measure.cumulative[-1]:.17g},0,0")
-    return "\n".join(rows) + "\n"

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .energy import (
-    EXACT_CAPACITY_LIMIT,
     capacity,
     cap_convergence_metric,
     extremal_field,
@@ -43,8 +42,8 @@ from .obstacle import penalized_envelope, PenalizationSchedule, psor_envelope, o
 from .radial import (
     TAxis,
     ball_step_obstacle,
+    fs_potential,
     local_envelope_ball,
-    measure_to_csv,
     orthogonality_defect_radial,
     radial_envelope,
     radial_ma_mass,
@@ -264,9 +263,6 @@ def _check_ranges(name: str, params: dict) -> None:
             "n",
             f"a multiple of {step} and >= {4 * step} for scenario {name!r}",
         )
-        if name == "capacity-sandwich":
-            # every mask's capacity is the exact linear program
-            require(params["n"] <= EXACT_CAPACITY_LIMIT, "n", f"<= {EXACT_CAPACITY_LIMIT} for scenario {name!r}")
     if "dims" in params:
         require(all(d >= 1 and d.is_integer() for d in params["dims"]), "dims", "positive integers")
     if "t_min" in params:
@@ -380,7 +376,7 @@ def _scn_radial_ball(p, seed, rec):
     h, h_lsc = ball_step_obstacle(axis)
     profile = radial_envelope(h_lsc, axis)
     formula = np.maximum(
-        0.5 * np.logaddexp(0.0, axis.ts) - 1.0,
+        fs_potential(axis).values - 1.0,
         0.5 * axis.ts + 0.5 * np.log(2.0) - 1.0,
     )
     sup_err = float(np.abs(profile.values - formula).max())
@@ -405,12 +401,17 @@ def _scn_radial_ball(p, seed, rec):
         atoms = [(t, m) for t, m in measure.atoms if abs(t) <= 2 * axis.dt]
         atom_mass = sum(m for _, m in atoms)
         expected = 1.0 - 2.0**-nd
-        defect = orthogonality_defect_radial(h, axis, nd, solver_h=h_lsc)
+        defect = orthogonality_defect_radial(h, profile, measure)
         checks.append(Check(f"atom_mass_n{nd}", abs(atom_mass - expected) <= p["atom_tol"], atom_mass, expected))
         checks.append(Check(f"orthogonality_defect_n{nd}", abs(defect - expected) <= p["atom_tol"], defect, expected))
         atom_rows.append((nd, atom_mass, expected, defect))
         if nd == 1:
-            files["measure_n1.csv"] = measure_to_csv(measure)
+            is_atom = np.isin(np.arange(axis.m - 1), measure.atom_indices)
+            files["measure_n1.csv"] = _csv(
+                "t,cumulative,mass,is_atom",
+                [*zip(axis.ts, measure.cumulative, measure.masses, is_atom),
+                 (axis.ts[-1], measure.total_mass, 0.0, 0.0)],
+            )
     files["atoms.csv"] = _csv("n,atom_mass,expected,orthogonality_defect", atom_rows)
     return checks, files
 

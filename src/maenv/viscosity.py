@@ -77,7 +77,6 @@ def check_supersolution_visc(
 
 @dataclass
 class PipelineResult:
-    envelope: GridField
     residual: float
     input_report: Residual
     checked_fraction: float
@@ -109,7 +108,7 @@ def supersolution_envelope_pipeline(
         )
     sol = psor_envelope(theta, v, tol=psor_tol)
     residual = float(equation_defect(theta, sol.u, f.values).max())
-    return PipelineResult(sol.u, residual, report, checked_fraction, sol)
+    return PipelineResult(residual, report, checked_fraction, sol)
 
 
 def mass_bound_check(theta: ThetaDensity, f: GridField) -> bool:

@@ -123,7 +123,6 @@ class TestConfigParsing:
             ("scenario = penalized-convergence\nobstacle_x0 = 0.9\n", "obstacle_x0"),
             ("scenario = penalized-convergence\nobstacle_x1 = 1.5\n", "obstacle_x1"),
             ("scenario = capacity-sandwich\nt_values = -1\n", "t_values"),
-            ("scenario = capacity-sandwich\nn = 66\n", "'n'"),
             ("scenario = extremal-contact\ntheta_base = 0\n", "theta_base"),
             ("scenario = orthogonality\nseed = -1\n", "seed"),
         ],
@@ -131,6 +130,11 @@ class TestConfigParsing:
     def test_rejections_name_the_field(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config_text(text)
+
+    def test_capacity_sandwich_accepts_a_large_grid(self, tmp_path):
+        cfg = parse_config_text("scenario = capacity-sandwich\nn = 128\nmasks = 1\nt_values = 2\n")
+        assert cfg.params["n"] == 128
+        assert run_scenario(cfg, tmp_path).passed
 
     def test_caller_config_scenario_mismatch(self):
         with pytest.raises(ConfigError, match="command line"):

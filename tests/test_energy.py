@@ -12,7 +12,6 @@ from maenv import (
     is_theta_psh,
 )
 from maenv.energy import (
-    EXACT_CAPACITY_LIMIT,
     cap_convergence_metric,
     capacity,
     energy_Ip,
@@ -207,14 +206,21 @@ class TestCapacity:
             assert cu >= max(c1, c2) - 1e-9
             assert cu <= c1 + c2 + 1e-9
 
-    def test_exact_mode_grid_cutoff(self):
-        g = TorusGrid(128)
+    @pytest.mark.parametrize("shape", ["disc", "site"])
+    def test_exact_mode_certifies_at_n256(self, shape):
+        # the dual point is built on the envelope's exact contact set, which
+        # keeps the duality gap at rounding level on large grids
+        g = TorusGrid(256)
         th = ThetaDensity(constant_field(g, 1.0))
-        mask = np.zeros((g.n, g.n), bool)
-        mask[0, 0] = True
-        with pytest.raises(ValueError):
-            capacity(th, mask, mode="exact")
-        assert EXACT_CAPACITY_LIMIT == 64
+        if shape == "disc":
+            x, y = g.coords()
+            mask = (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.02**2
+        else:
+            mask = np.zeros((g.n, g.n), bool)
+            mask[g.n // 2, g.n // 2] = True
+        res = capacity(th, mask, mode="exact")
+        assert abs(res.gap) <= 1e-9
+        assert 0.0 < res.value < th.total_mass
 
     def test_mask_shape_mismatch(self, small):
         g, th = small

@@ -91,6 +91,15 @@ class TestPsorEnvelope:
         assert 0.2 < band.mean() < 0.8  # contact on a band, not everywhere
         assert abs(sol.complementarity_defect) < 1e-10
 
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_contact_mask_is_exact_equality(self, grid, theta_one, constrained):
+        h = kinked_obstacle(grid)
+        x, _ = grid.coords()
+        mask = (x < 0.6) if constrained else np.ones((grid.n, grid.n), bool)
+        sol = psor_envelope(theta_one, h, tol=1e-10, constraint_mask=mask if constrained else None)
+        assert (sol.contact_mask == (mask & (sol.u.values == h.values))).all()
+        assert 0 < sol.contact_mask.sum() < mask.sum()
+
     def test_min_of_two_admissible_functions(self, grid, theta_one):
         a = field_from_function(grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x))
         b = field_from_function(grid, lambda x, y: 0.05 * np.sin(2 * np.pi * (x + y)))

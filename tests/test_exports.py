@@ -1,6 +1,11 @@
-"""Every library module's ``__all__`` names real objects that ``maenv`` re-exports."""
+"""Every library module's ``__all__`` names real objects that ``maenv`` re-exports,
+and ``import maenv`` loads no scipy subpackage the library does not use."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +22,12 @@ def test_all_names_exist_and_are_reexported(name):
     assert not missing, f"maenv.{name}.__all__ lists undefined names {missing}"
     absent = [x for x in module.__all__ if getattr(maenv, x, None) is not getattr(module, x)]
     assert not absent, f"maenv does not re-export {absent} from maenv.{name}"
+
+
+def test_import_loads_no_unused_scipy_subpackage():
+    # a fresh interpreter, so the test session's own imports do not count
+    src = str(Path(maenv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, maenv; print(sorted(m for m in ('scipy.ndimage', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

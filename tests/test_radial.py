@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.ndimage import median_filter
 
 from maenv import (
     RadialProfile,
@@ -16,7 +17,8 @@ from maenv import (
     radial_ma_mass,
 )
 from maenv.errors import OrderViolation
-from maenv.radial import _lower_hull, measure_to_csv
+from maenv.radial import _lower_hull, _window_median
+from maenv.scenarios import parse_config_text, run_scenario
 
 from oracles import cutting_plane_envelope, halfplane_log1pexp, lower_hull_reference
 
@@ -154,19 +156,32 @@ class TestRadialMeasure:
 
     def test_orthogonality_defect_vanishes_for_continuous_obstacles(self):
         axis = TAxis()
-        assert abs(orthogonality_defect_radial(np.zeros(axis.m), axis, 1)) < 1e-12
+        zero = np.zeros(axis.m)
+        prof = radial_envelope(zero, axis)
+        assert abs(orthogonality_defect_radial(zero, prof, radial_ma_mass(prof, 1))) < 1e-12
         h_cont = np.minimum(0.3 * (axis.ts + 5.0), 0.0)
+        prof = radial_envelope(h_cont, axis)
         for n in (1, 2):
-            assert abs(orthogonality_defect_radial(h_cont, axis, n)) < 1e-10
+            assert abs(orthogonality_defect_radial(h_cont, prof, radial_ma_mass(prof, n))) < 1e-10
 
     def test_orthogonality_defect_of_ball_counts_the_atom(self):
         # with the h(0) = 0 sampling convention the defect equals the gap
         # (0 - (-1)) times the atom mass
         axis = TAxis()
         h, h_lsc = ball_step_obstacle(axis)
+        prof = radial_envelope(h_lsc, axis)
         for n in (1, 2, 3):
-            d = orthogonality_defect_radial(h, axis, n, solver_h=h_lsc)
+            d = orthogonality_defect_radial(h, prof, radial_ma_mass(prof, n))
             assert abs(d - (1.0 - 2.0**-n)) < 1e-6
+
+    @pytest.mark.parametrize("m", [9, 63, 255, 4095])
+    def test_ambient_median_matches_ndimage(self, m):
+        # the atom detector's ambient slope variation; scipy.ndimage's
+        # median_filter with mode "nearest" is the oracle
+        rng = np.random.default_rng(m)
+        for _ in range(10):
+            pos = rng.integers(0, 4, size=m) * rng.choice([0.25, 1e-3, 1e-9])
+            assert np.array_equal(_window_median(pos), median_filter(pos, size=9, mode="nearest"))
 
 
 class TestLocalEnvelopes:
@@ -194,10 +209,10 @@ class TestLocalEnvelopes:
 
 
 class TestRadialSerialization:
-    def test_measure_csv_header(self):
-        axis = TAxis()
-        _, h_lsc = ball_step_obstacle(axis)
-        meas = radial_ma_mass(radial_envelope(h_lsc, axis), 1)
-        lines = measure_to_csv(meas).strip().splitlines()
+    def test_measure_csv_header(self, tmp_path):
+        run_scenario(parse_config_text("scenario = radial-ball\n"), tmp_path)
+        lines = (tmp_path / "measure_n1.csv").read_text().splitlines()
         assert lines[0] == "t,cumulative,mass,is_atom"
-        assert any(line.endswith(",1") for line in lines[1:])  # the atom row
+        assert len(lines) == 1 + TAxis().m
+        assert sum(line.endswith(",1") for line in lines[1:]) == 1  # the atom row
+        assert lines[-1].endswith(",1,0,0")  # total mass 1, no mass past t_max

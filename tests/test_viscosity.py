@@ -76,7 +76,7 @@ class TestPipeline:
     def test_exact_solution_is_a_fixed_point(self, setup):
         grid, theta, f, phi = setup
         res = supersolution_envelope_pipeline(theta, phi, f)
-        assert np.abs(res.envelope.values - phi.values).max() == 0.0
+        assert np.abs(res.solution.u.values - phi.values).max() == 0.0
         assert abs(res.residual) < 1e-10
 
     def test_min_of_two_smooth_supersolutions(self):
@@ -103,7 +103,7 @@ class TestPipeline:
         c = 2.0
         assert (np.exp(c) * f.values >= theta.density.values).all()
         res = supersolution_envelope_pipeline(theta, constant_field(grid, c), f)
-        assert np.abs(res.envelope.values - c).max() == 0.0
+        assert np.abs(res.solution.u.values - c).max() == 0.0
         assert res.residual <= 0.0
 
     def test_rejects_non_supersolution_input(self, setup):
