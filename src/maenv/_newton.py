@@ -28,6 +28,8 @@ solve gives the same bits at any BLAS thread count.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +43,7 @@ _EXP_CAP = 500.0  # cap on exponents; keeps overflow out of the line search
 _CG_RTOL = 1e-12  # relative residual of each preconditioned CG solve
 _CG_MAXITER = 50  # CG iterations before the step refactors and solves directly
 
-__all__ = ["SolverReport", "conjugate_gradients", "newton_semilinear"]
+__all__ = ["SolverReport", "collect_reports", "conjugate_gradients", "newton_semilinear"]
 
 
 def _dot(a, b):
@@ -78,6 +80,10 @@ def conjugate_gradients(matvec, b, precondition, rtol, maxiter):
     return x, maxiter, False
 
 
+# the list that collect_reports opened, None outside it
+_COLLECTED: ContextVar[list | None] = ContextVar("collected_reports", default=None)
+
+
 @dataclass
 class SolverReport:
     """Iteration diagnostics shared by the solvers.
@@ -85,7 +91,8 @@ class SolverReport:
     ``factorizations`` and ``cg_iterations`` count the work of Newton's
     linear solves.  For PSOR, ``iterations`` counts sweeps,
     ``cg_iterations`` the CG iterations of its active-set steps, and
-    ``factorizations`` stays 0.
+    ``factorizations`` stays 0.  Inside :func:`collect_reports` every
+    report appends itself to the collected list when it is built.
     """
 
     method: str
@@ -96,6 +103,20 @@ class SolverReport:
     damping: list = field(default_factory=list)
     factorizations: int = 0
     cg_iterations: int = 0
+
+    def __post_init__(self):
+        if (collected := _COLLECTED.get()) is not None:
+            collected.append(self)
+
+
+@contextmanager
+def collect_reports():
+    """Collect every :class:`SolverReport` built inside the block, in call order."""
+    token = _COLLECTED.set([])
+    try:
+        yield _COLLECTED.get()
+    finally:
+        _COLLECTED.reset(token)
 
 
 class _LaggedLU:
@@ -209,6 +230,7 @@ def newton_semilinear(
                 if res_inf <= 1e3 * tol:
                     stalled = True
                     break
+                report(it, res_inf, False)  # so that a collected run lists the failed solve
                 raise NewtonStall(
                     f"no acceptable Newton step at residual {res_inf:.3e}",
                     best=phi.reshape(n, n),
@@ -221,6 +243,7 @@ def newton_semilinear(
         phi = phi + step * full_delta
         g, weight, merit = g_new, weight_new, merit_new
     res_inf = float(np.abs(g).max())
+    report(it, res_inf, False)
     raise NonConvergence(
         f"Newton used {max_iter} iterations, residual {res_inf:.3e}",
         best=phi.reshape(n, n),

@@ -8,7 +8,7 @@ with a unique solution for any nonzero measure density mu (the nonlinearity
 is strictly monotone).  On top of the solver this module provides:
 
 * ``pmin_compose``       -- the envelope of the pointwise minimum of two
-  potentials, with the partition-defect field certifying
+  potentials, with the sup and L1 norms of the partition defect certifying
   ma(phi) <= 1_{phi=u} ma(u) + 1_{phi=v} ma(v);
 * ``supersolution_check`` / ``subsolution_check`` -- one-sided residuals of
   the equation defect;
@@ -83,7 +83,6 @@ class PminResult:
     """P(min(u,v)) together with the partition-defect certificate."""
 
     phi: GridField
-    partition_defect: GridField
     mask_u: np.ndarray
     mask_v: np.ndarray
     max_defect: float
@@ -99,11 +98,11 @@ def pmin_compose(
 ) -> PminResult:
     """Envelope of min(u, v) and the defect of the partition inequality.
 
-    The defect field is ma(phi) - [1_{phi=u} ma(u) + 1_{phi=v} ma(v)] with the
+    The defect is ma(phi) - [1_{phi=u} ma(u) + 1_{phi=v} ma(v)] with the
     contact masks taken at the tolerance ``contact_tol`` = 1e-6 * (1 +
-    max |min(u, v)|); its positive part is at solver scale for admissible
-    u, v, while its L1 norm shrinks linearly with the grid spacing (the
-    detachment ring carries O(h) mass).
+    max |min(u, v)|); its maximum ``max_defect`` is at solver scale for
+    admissible u, v, while its L1 norm ``l1_defect`` shrinks linearly with
+    the grid spacing (the detachment ring carries O(h) mass).
     """
     grid = theta.grid
     obstacle = GridField(grid, np.minimum(u.values, v.values))
@@ -114,10 +113,8 @@ def pmin_compose(
     mask_v = phi.values >= v.values - contact_tol
     claimed = mask_u * ma_density(theta, u).values + mask_v * ma_density(theta, v).values
     defect = ma_density(theta, phi).values - claimed
-    dfield = GridField(grid, defect)
     return PminResult(
         phi,
-        dfield,
         mask_u,
         mask_v,
         float(defect.max()),

@@ -299,7 +299,6 @@ class LocalEnvelope:
 
     ts: np.ndarray
     values: np.ndarray
-    mode: str
 
 
 def local_envelope_ball(h, axis: TAxis, mode: str) -> LocalEnvelope:
@@ -326,7 +325,7 @@ def local_envelope_ball(h, axis: TAxis, mode: str) -> LocalEnvelope:
         env = constrained_convex_envelope(t_ball[strict], h_ball[strict], 0.0, None)
     else:
         env = constrained_convex_envelope(t_ball, h_ball, 0.0, None)
-    return LocalEnvelope(ts=t_ball, values=env(t_ball), mode=mode)
+    return LocalEnvelope(ts=t_ball, values=env(t_ball))
 
 
 def ball_step_obstacle(axis: TAxis) -> tuple:

@@ -2,9 +2,10 @@
 
 A scenario binds the library's solvers to a concrete reproducible experiment:
 it reads a flat ``key = value`` config, runs the computation with a fixed
-seed, writes CSV/JSON artifacts plus a ``manifest.json`` with content hashes
-and per-check outcomes, and raises :class:`ScenarioFailure` when any check
-fails (the manifest is still written, so failures are inspectable).
+seed, writes CSV/JSON artifacts plus a ``manifest.json`` with content hashes,
+per-check outcomes and the report of every solver call, and raises
+:class:`ScenarioFailure` when any check fails (the manifest is still written,
+so failures are inspectable).
 
 Determinism contract: identical config and seed produce byte-identical
 artifacts.  Everything downstream of the seeded generator is deterministic,
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._newton import collect_reports
 from .energy import (
     capacity,
     cap_convergence_metric,
@@ -340,24 +342,6 @@ class RunManifest:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class _Recorder:
-    """Collects per-operation solver reports for the manifest."""
-
-    def __init__(self):
-        self.rows: list[dict] = []
-
-    def add(self, op: str, report) -> None:
-        self.rows.append(
-            {
-                "op": op,
-                "method": report.method,
-                "iterations": int(report.iterations),
-                "residual": float(report.residual),
-                "converged": bool(report.converged),
-            }
-        )
-
-
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -371,7 +355,7 @@ def _csv(header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scn_radial_ball(p, seed, rec):
+def _scn_radial_ball(p, seed):
     axis = TAxis(p["t_min"], p["t_max"], p["m"])
     h, h_lsc = ball_step_obstacle(axis)
     profile = radial_envelope(h_lsc, axis)
@@ -424,7 +408,7 @@ def _mixture_obstacle(grid, p):
     return GridField(grid, np.minimum(smooth, lsc.values))
 
 
-def _scn_penalized_convergence(p, seed, rec):
+def _scn_penalized_convergence(p, seed):
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, 1.0)
     v = _mixture_obstacle(grid, p)
@@ -433,9 +417,6 @@ def _scn_penalized_convergence(p, seed, rec):
     run = penalized_envelope(
         theta, v, mu, schedule, newton_tol=p["newton_tol"], psor_tol=p["psor_tol"]
     )
-    for j, rep in zip(run.js, run.reports):
-        rec.add(f"penalized_step[j={j:g}]", rep)
-    rec.add("envelope_oracle", run.oracle.report)
 
     vol = theta.total_mass
     final_tol = p["final_tol_factor"] * (1.0 + float(np.abs(v.values).max()))
@@ -464,7 +445,7 @@ def _scn_penalized_convergence(p, seed, rec):
     return checks, files
 
 
-def _scn_orthogonality(p, seed, rec):
+def _scn_orthogonality(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, 1.0)
@@ -513,7 +494,7 @@ def _crossing_pair(theta, rng):
     return GridField(theta.grid, uc), GridField(theta.grid, wc)
 
 
-def _scn_min_principle(p, seed, rec):
+def _scn_min_principle(p, seed):
     rng = np.random.default_rng(seed)
     vol = 1.0
     results = {}
@@ -552,15 +533,14 @@ def _perron_configs(grid, x, y):
     ]
 
 
-def _scn_perron(p, seed, rec):
+def _scn_perron(p, seed):
     grid = TorusGrid(p["n"])
     x, y = grid.coords()
     rows, checks = [], []
     for tag, theta_amp, mu_vals in _perron_configs(grid, x, y):
         theta = theta_cosine(grid, 1.0, theta_amp)
         mu = MeasureDensity(GridField(grid, mu_vals))
-        exact, rep = solve_ma_exponential(theta, mu)
-        rec.add(f"exponential_solve[{tag}]", rep)
+        exact, _ = solve_ma_exponential(theta, mu)
         members = []
         for frac in (0.25, 0.5, 0.75, 1.0):
             sel = (y < frac) & (mu_vals > 0)
@@ -591,7 +571,7 @@ def _scn_perron(p, seed, rec):
     return checks, files
 
 
-def _scn_viscosity_pipeline(p, seed, rec):
+def _scn_viscosity_pipeline(p, seed):
     vol = 1.0
     rows, checks = [], []
     residuals = {}
@@ -602,7 +582,6 @@ def _scn_viscosity_pipeline(p, seed, rec):
             res = supersolution_envelope_pipeline(
                 theta, datum.v, datum.f, visc_tol=datum.gate_tol, psor_tol=p["psor_tol"]
             )
-            rec.add(f"pipeline[{datum.name},n={n}]", res.solution.report)
             rows.append(
                 (datum.name, float(n), datum.gate_tol, -res.input_report.value,
                  res.checked_fraction, res.residual)
@@ -622,12 +601,11 @@ def _scn_viscosity_pipeline(p, seed, rec):
     return checks, files
 
 
-def _scn_extremal_contact(p, seed, rec):
+def _scn_extremal_contact(p, seed):
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, p["theta_base"], p["theta_amp"])
     vol = theta.total_mass
     sol = psor_envelope(theta, constant_field(grid, 0.0), tol=p["psor_tol"])
-    rec.add("extremal_envelope", sol.report)
     vt = sol.u
     ma = ma_density(theta, vt).values
     flat = np.abs(vt.values) < p["flat_tol"]
@@ -660,7 +638,7 @@ def _sandwich_masks(grid, count, rng):
     return masks[:count]
 
 
-def _scn_capacity_sandwich(p, seed, rec):
+def _scn_capacity_sandwich(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, 1.0)
@@ -683,7 +661,7 @@ def _scn_capacity_sandwich(p, seed, rec):
     return checks, files
 
 
-def _scn_quasi_triangle(p, seed, rec):
+def _scn_quasi_triangle(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, 1.0)
@@ -713,7 +691,7 @@ def _scn_quasi_triangle(p, seed, rec):
     return checks, files
 
 
-def _scn_local_envelopes(p, seed, rec):
+def _scn_local_envelopes(p, seed):
     axis = TAxis(m=p["m"])
     h = np.where(axis.ts == 0.0, -1.0, 0.0)
     interior = local_envelope_ball(h, axis, "interior")
@@ -728,7 +706,7 @@ def _scn_local_envelopes(p, seed, rec):
     return checks, files
 
 
-def _scn_mass_bound(p, seed, rec):
+def _scn_mass_bound(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, 1.0)
@@ -740,8 +718,7 @@ def _scn_mass_bound(p, seed, rec):
         found += rep.passed
     x, _ = grid.coords()
     f_big = GridField(grid, 2.0 + 0.5 * np.cos(2.0 * np.pi * x))
-    sol, rep = solve_ma_exponential(theta, MeasureDensity(f_big))
-    rec.add("constructed_supersolution", rep)
+    sol, _ = solve_ma_exponential(theta, MeasureDensity(f_big))
     gate, _ = check_supersolution_visc(theta, sol, f_big, tol=1e-5)
     checks = [
         Check("below_volume_is_infeasible", not mass_bound_check(theta, f_half), 0.5, 1.0),
@@ -786,8 +763,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
     artifacts are written first, so a failing run remains fully inspectable.
     A solver error inside the scenario becomes a failed ``solver_converged``
     check whose value is the error's residual (-1 when it carries none) and
-    whose manifest lists no artifacts.  An output directory that cannot be
-    created raises :class:`ConfigError` before the scenario runs.
+    whose manifest lists no artifacts.  The manifest's ``reports`` list every
+    solver report built during the run, failed ones included, in call order.
+    An output directory that cannot be created raises :class:`ConfigError`
+    before the scenario runs.
     """
     out = Path(out_dir)
     try:
@@ -795,10 +774,10 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
 
-    rec = _Recorder()
     error = None
     try:
-        checks, files = _RUNNERS[config.scenario](config.params, config.seed, rec)
+        with collect_reports() as reports:
+            checks, files = _RUNNERS[config.scenario](config.params, config.seed)
     except ConfigError:
         raise
     except MaenvError as exc:
@@ -820,7 +799,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
         seed=config.seed,
         checks=checks,
         files=hashes,
-        reports=rec.rows,
+        reports=[{k: v for k, v in vars(r).items() if k not in ("history", "damping")} for r in reports],
     )
     (out / "manifest.json").write_text(manifest.to_json())
     if not manifest.passed:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from maenv import _newton
 from maenv.cli import main
 from maenv.errors import ConfigError, ScenarioFailure
 from maenv.scenarios import (
@@ -15,6 +16,9 @@ from maenv.scenarios import (
     run_scenario,
     verify_all,
 )
+from maenv.fields import theta_cosine
+from maenv.obstacle import psor_envelope
+from maenv.torus import TorusGrid, constant_field
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -167,13 +171,16 @@ class TestRunScenario:
         ).hexdigest()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        cfg = parse_config_text(smoke_text("quasi-triangle"))
-        run_scenario(cfg, tmp_path / "a")
-        run_scenario(cfg, tmp_path / "b")
-        names = {p.name for p in (tmp_path / "a").iterdir()}
-        assert names == {p.name for p in (tmp_path / "b").iterdir()}
-        for name in names:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        # min-principle calls PSOR, so its manifest carries report rows too
+        for name in ("quasi-triangle", "min-principle"):
+            cfg = parse_config_text(smoke_text(name))
+            a, b = tmp_path / name / "a", tmp_path / name / "b"
+            run_scenario(cfg, a)
+            run_scenario(cfg, b)
+            names = {p.name for p in a.iterdir()}
+            assert names == {p.name for p in b.iterdir()}
+            for file in names:
+                assert (a / file).read_bytes() == (b / file).read_bytes()
 
     def test_failing_check_raises_but_still_writes_manifest(self, tmp_path):
         cfg = parse_config_text(FAILING_CFG)
@@ -183,6 +190,48 @@ class TestRunScenario:
         assert payload["passed"] is False
         failed = [c["name"] for c in payload["checks"] if not c["passed"]]
         assert failed == ["step_defect_floor"]
+
+
+def manifest_reports(out):
+    return json.loads((out / "manifest.json").read_text())["reports"]
+
+
+class TestManifestReports:
+    def test_every_psor_solve_is_listed(self, tmp_path):
+        # two pairs at n = 32 and at n = 64: one pmin_compose PSOR each
+        run_scenario(parse_config_text(smoke_text("min-principle")), tmp_path)
+        rows = manifest_reports(tmp_path)
+        assert len(rows) == 4
+        assert all(r["method"] == "psor" and r["converged"] for r in rows)
+        assert set(rows[0]) == {
+            "method", "iterations", "cg_iterations", "factorizations", "residual", "converged"
+        }
+
+    def test_failed_newton_solve_is_listed(self, tmp_path):
+        with pytest.raises(ScenarioFailure, match="NewtonStall"):
+            run_scenario(parse_config_text(STALLING_CFG), tmp_path)
+        rows = manifest_reports(tmp_path)
+        # the PSOR oracle, the fixed-point Newton solve, the stalled penalized step
+        assert [(r["method"], r["converged"]) for r in rows] == [
+            ("psor", True), ("newton", True), ("newton", False)
+        ]
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert rows[-1]["residual"] == payload["checks"][0]["value"] > 0.0
+
+    def test_a_second_run_starts_with_an_empty_list(self, tmp_path):
+        cfg = parse_config_text(smoke_text("min-principle"))
+        first = run_scenario(cfg, tmp_path / "a").reports
+        assert run_scenario(cfg, tmp_path / "b").reports == first
+        assert run_scenario(parse_config_text(smoke_text("quasi-triangle")), tmp_path / "c").reports == []
+
+    def test_solver_outside_a_run_records_nothing(self):
+        grid = TorusGrid(8)
+        theta, h = theta_cosine(grid, 1.0), constant_field(grid, 0.0)
+        with _newton.collect_reports() as collected:
+            psor_envelope(theta, h)
+        assert len(collected) == 1
+        psor_envelope(theta, h)
+        assert len(collected) == 1 and _newton._COLLECTED.get() is None
 
 
 class TestCliRun:
