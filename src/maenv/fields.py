@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import GridField, ThetaDensity, TorusGrid, curvature_values
+from .torus import GridField, ThetaDensity, TorusGrid, curvature_values, neighbor_table
 
 __all__ = [
     "SupersolutionDatum",
@@ -152,11 +152,8 @@ def _gate_tol(grid: TorusGrid, grad_max: float, ef_max: float, trunc: float) -> 
 def _stencil_max(values: np.ndarray) -> np.ndarray:
     """Max over the 5-point stencil; inflates branchwise curvature data by
     one cell so junction sites are charged against the larger branch."""
-    out = values.copy()
-    for axis in (0, 1):
-        for shift in (1, -1):
-            np.maximum(out, np.roll(values, shift, axis=axis), out=out)
-    return out
+    n = values.shape[0]
+    return np.maximum(values, values.ravel()[neighbor_table(n)].max(axis=1).reshape(n, n))
 
 
 def smooth_supersolution(grid: TorusGrid) -> SupersolutionDatum:

@@ -52,6 +52,7 @@ from .torus import (
     laplacian_matrix,
     ma_density,
     neighbor_sum,
+    neighbor_table,
 )
 
 _HANDOVER_TOL = 1e-2  # PSOR residual at which the active-set steps take over
@@ -99,42 +100,29 @@ def _natural_residual(u, hproj, theta, h):
     return float(gap.max())
 
 
-def _colour_blocks(grid, vectors):
-    """Matching views of a grid's sites and of the two colour vectors.
+def _colour_split(n):
+    """Red-black split of an n x n grid and the sparse gathers between colours.
 
-    Colour c holds the sites (i, j) with i + j = c (mod 2), n/2 to a row, in
-    row-major order.  Returns (grid view, vector view) pairs, one per colour
-    and row parity.
+    ``order[c]`` holds the flat indices of the sites (i, j) with i + j = c
+    (mod 2) in row-major order, so ``values.ravel()[order]`` stores a grid
+    as two colour vectors.  Row r of gather c sums, with unit weights and in
+    the order i-1, i+1, j-1, j+1, the four neighbours of colour c's r-th
+    site, which all have the other colour.
     """
-    n = grid.shape[0]
-    g = grid.reshape(n // 2, 2, n // 2, 2)
-    v = vectors.reshape(2, n // 2, 2, n // 2)
-    return [(g[:, p, :, (p + c) % 2], v[c, :, p, :]) for c in (0, 1) for p in (0, 1)]
-
-
-def _colour_gathers(n):
-    """Sparse neighbour sums from one colour's vector to the other's sites.
-
-    Row r of operator c sums, with unit weights and in the order i-1, i+1,
-    j-1, j+1, the four neighbours of colour c's r-th site, which all have
-    the other colour.  Both operators share one data and one indptr array.
-    """
-    m = n // 2
-    i = np.arange(n, dtype=np.int32)[:, None]
-    k = np.arange(m, dtype=np.int32)[None, :]
-    rows = m * n
+    odd = np.arange(n) % 2 == 1
+    colour = odd[:, None] ^ odd
+    order = np.stack([np.flatnonzero(colour == c) for c in (0, 1)])
+    rows = order.shape[1]
+    position = np.empty(n * n, dtype=np.int32)
+    position[order] = np.arange(rows, dtype=np.int32)
+    table = neighbor_table(n)
     data = np.ones(4 * rows)
     indptr = np.arange(0, 4 * rows + 1, 4, dtype=np.int32)
     gathers = []
     for c in (0, 1):
-        p = (i + c) % 2  # column parity of the colour's sites in row i
-        idx = np.empty((n, m, 4), dtype=np.int32)
-        idx[..., 0] = (i - 1) % n * m + k
-        idx[..., 1] = (i + 1) % n * m + k
-        idx[..., 2] = i * m + (k - 1 + p) % m
-        idx[..., 3] = i * m + (k + p) % m
+        idx = position.take(table.take(order[c], axis=0))
         gathers.append(sp.csr_matrix((data, idx.ravel(), indptr), shape=(rows, rows)))
-    return gathers
+    return order, gathers
 
 
 def _psor_values(theta, hproj, tol, max_iter, init):
@@ -154,21 +142,16 @@ def _psor_values(theta, hproj, tol, max_iter, init):
     h = 1.0 / n
     omega = 2.0 / (1.0 + np.sin(np.pi * h))
 
-    x = np.empty((2, n * n // 2))
-    ct = np.empty_like(x)
-    hp = np.empty_like(x)
-    for grid, vectors in ((init, x), (theta, ct), (hproj, hp)):
-        for g, v in _colour_blocks(grid, vectors):
-            v[...] = g
+    order, nbr = _colour_split(n)
+    x = init.ravel()[order]
+    ct = theta.ravel()[order]
+    hp = hproj.ravel()[order]
     ct *= 2.0 * np.pi * h * h
     np.minimum(x, hp, out=x)
-    nbr = _colour_gathers(n)
     u = np.empty((n, n))
-    blocks = _colour_blocks(u, x)
 
     def residual():
-        for g, v in blocks:
-            g[...] = v
+        u.ravel()[order] = x
         return _natural_residual(u, hproj, theta, h)
 
     history = []

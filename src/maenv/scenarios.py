@@ -187,20 +187,21 @@ def _coerce(key: str, raw: str, kind: str):
     try:
         if kind == "i":
             return int(raw)
-        if kind == "f":
-            return float(raw)
-        if kind == "fl":
-            return tuple(float(part) for part in raw.split(","))
+        value = float(raw) if kind == "f" else tuple(float(part) for part in raw.split(","))
     except ValueError:
         raise ConfigError(f"field {key!r}: cannot parse {raw!r} as {'int' if kind == 'i' else 'number(s)'}") from None
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"field {key!r} must be finite, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str, scenario: str | None = None) -> ScenarioConfig:
     """Parse and validate a flat ``key = value`` config ('#' starts a comment).
 
     ``scenario`` may be supplied by the caller (CLI positional); when both
-    are present they must agree.  Unknown keys, duplicate keys, type errors
-    and nonpositive tolerances raise :class:`ConfigError` naming the field.
+    are present they must agree.  Unknown keys, duplicate keys, type errors,
+    non-finite numbers and nonpositive tolerances raise :class:`ConfigError`
+    naming the field.
     """
     entries: dict[str, str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), 1):
@@ -257,6 +258,8 @@ def _check_ranges(name: str, params: dict) -> None:
             require(all(x > 0 for x in np.atleast_1d(val)), key, "positive")
         if key in _AT_LEAST:
             require(val >= _AT_LEAST[key], key, f">= {_AT_LEAST[key]}")
+    if "j_max_log2" in params:  # the largest strength 2**j_max_log2 must be a float
+        require(params["j_max_log2"] <= 1023, "j_max_log2", "<= 1023")
     if "n" in params:
         # every torus grid is even and >= 8; viscosity-pipeline also runs at n/2
         step = 4 if name == "viscosity-pipeline" else 2

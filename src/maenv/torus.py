@@ -243,21 +243,34 @@ def inf_convolution(u: GridField, j: float) -> GridField:
     return GridField(grid, out)
 
 
+def neighbor_table(n: int) -> np.ndarray:
+    """Flat indices of the four periodic neighbours of every site.
+
+    Row k of the (N*N, 4) int32 table lists the neighbours of row-major site
+    k in the order i-1, i+1, j-1, j+1, the order in which
+    :func:`neighbor_sum` adds them.
+    """
+    k = np.arange(n * n, dtype=np.int32).reshape(n, n)
+    rolled = [np.roll(k, 1, 0), np.roll(k, -1, 0), np.roll(k, 1, 1), np.roll(k, -1, 1)]
+    return np.stack(rolled, axis=-1).reshape(n * n, 4)
+
+
 @lru_cache(maxsize=None)
 def laplacian_matrix(n: int) -> sp.csc_matrix:
     """Sparse matrix of the five-point periodic Laplacian scaled by 1/h^2.
 
     Acts on row-major flattened (N*N,) vectors; ``laplacian_matrix(n) @ u.ravel()``
-    equals ``(2*pi * curvature_values(u, h)).ravel()`` up to rounding.  The
-    Newton solves and the exact capacity program need the assembled matrix.
+    equals ``(2*pi * curvature_values(u, h)).ravel()`` up to rounding.  Row k
+    holds the sorted columns of k and its :func:`neighbor_table` row; the
+    matrix is symmetric, so these are also its CSC arrays.  The Newton and
+    free-set solves share the cached matrix, so its arrays are read-only.
     """
-    h2 = (1.0 / n) ** 2
-    ones = np.ones(n)
-    t = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], [-1, 0, 1], format="lil")
-    t[0, n - 1] = 1.0
-    t[n - 1, 0] = 1.0
-    t = t.tocsr()
-    eye = sp.identity(n, format="csr")
-    lap = (sp.kron(t, eye) + sp.kron(eye, t)) / h2
-    return lap.tocsc()
-
+    site = np.arange(n * n, dtype=np.int32)[:, None]
+    cols = np.concatenate([neighbor_table(n), site], axis=1)
+    cols.sort(axis=1)
+    data = np.where(cols == site, -4.0, 1.0) / (1.0 / n) ** 2
+    indptr = np.arange(0, cols.size + 1, 5, dtype=np.int32)
+    lap = sp.csc_matrix((data.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.flags.writeable = False
+    return lap

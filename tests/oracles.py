@@ -9,9 +9,10 @@ identity.  Some exceptions keep the library's method and change only its
 mechanics, so the optimized forms must agree with them bit for bit:
 :func:`psor_sweeps_reference`, the plain whole-grid form of the library's
 projected SOR sweep; :func:`roll_neighbor_sum`, the neighbour sum by
-``np.roll``; :func:`inf_convolution_reference`, the inf-convolution by
-brute force over every shift; and :func:`lower_hull_reference`, the radial
-hull scan on numpy scalars.  :func:`newton_direct_reference`, damped Newton
+``np.roll``; :func:`laplacian_matrix_reference`, the periodic Laplacian
+assembled as a Kronecker sum; :func:`inf_convolution_reference`, the
+inf-convolution by brute force over every shift; and
+:func:`lower_hull_reference`, the radial hull scan on numpy scalars.  :func:`newton_direct_reference`, damped Newton
 with a fresh sparse LU per step, must agree with the factorization-reusing
 Newton to rounding.  :func:`capacity_lp_reference` hands the capacity
 linear program to a general simplex solver, where the library certifies the
@@ -41,6 +42,20 @@ def roll_neighbor_sum(u):
         + np.roll(u, 1, axis=1)
         + np.roll(u, -1, axis=1)
     )
+
+
+def laplacian_matrix_reference(n):
+    """Five-point periodic Laplacian scaled by 1/h^2, as the Kronecker sum
+    T (x) I + I (x) T of the one-dimensional periodic second difference T."""
+    h2 = (1.0 / n) ** 2
+    ones = np.ones(n)
+    t = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], [-1, 0, 1], format="lil")
+    t[0, n - 1] = 1.0
+    t[n - 1, 0] = 1.0
+    t = t.tocsr()
+    eye = sp.identity(n, format="csr")
+    lap = (sp.kron(t, eye) + sp.kron(eye, t)) / h2
+    return lap.tocsc()
 
 
 def _minplus_all_shifts(cost, arr, chunk=32):

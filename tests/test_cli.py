@@ -129,6 +129,13 @@ class TestConfigParsing:
             ("scenario = capacity-sandwich\nt_values = -1\n", "t_values"),
             ("scenario = extremal-contact\ntheta_base = 0\n", "theta_base"),
             ("scenario = orthogonality\nseed = -1\n", "seed"),
+            ("scenario = penalized-convergence\nsmooth_amp = nan\n", "smooth_amp"),
+            ("scenario = penalized-convergence\nobstacle_depth = inf\n", "obstacle_depth"),
+            ("scenario = penalized-convergence\nj_max_log2 = 1024\n", "j_max_log2"),
+            ("scenario = extremal-contact\ntheta_amp = nan\n", "theta_amp"),
+            ("scenario = extremal-contact\ntheta_base = inf\n", "theta_base"),
+            ("scenario = capacity-sandwich\nt_values = inf\n", "t_values"),
+            ("scenario = perron\npsor_tol = inf\n", "psor_tol"),
         ],
     )
     def test_rejections_name_the_field(self, text, fragment):
@@ -368,6 +375,16 @@ class TestVerifyAll:
         (cfg_dir / "z_bad.cfg").write_text("scenario = perron\ngap_tol = -1\n")
         with pytest.raises(ConfigError, match="gap_tol"):
             verify_all(cfg_dir, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_number_exits_two_before_any_run(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_good.cfg").write_text(smoke_text("quasi-triangle"))
+        (cfg_dir / "z_nan.cfg").write_text("scenario = extremal-contact\ntheta_amp = nan\n")
+        rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "theta_amp" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_directory_named_like_a_config_exits_two(self, tmp_path, capsys):

@@ -17,9 +17,15 @@ from maenv import (
     ma_density,
     theta_cosine,
 )
-from maenv.torus import laplacian_matrix, neighbor_sum
+from maenv.fields import _stencil_max
+from maenv.torus import laplacian_matrix, neighbor_sum, neighbor_table
 
-from oracles import inf_convolution_reference, moreau_of_step, roll_neighbor_sum
+from oracles import (
+    inf_convolution_reference,
+    laplacian_matrix_reference,
+    moreau_of_step,
+    roll_neighbor_sum,
+)
 
 
 def discrete_cos_curvature_factor(n: int) -> float:
@@ -201,3 +207,40 @@ class TestNeighborSum:
         view = base[::2, 2:][:, ::2].T[:, :16]
         assert not view.flags.c_contiguous
         assert np.array_equal(neighbor_sum(view), roll_neighbor_sum(view))
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("n", [8, 10, 18, 64])
+    def test_gather_sums_to_neighbor_sum_bit_for_bit(self, n):
+        values = np.random.default_rng(n).standard_normal((n, n))
+        gathered = values.ravel()[neighbor_table(n)]
+        total = gathered[:, 0] + gathered[:, 1] + gathered[:, 2] + gathered[:, 3]
+        assert np.array_equal(total, neighbor_sum(values).ravel())
+
+    @pytest.mark.parametrize("n", [8, 10, 18, 32, 128])
+    def test_laplacian_matrix_equals_kronecker_assembly(self, n):
+        lap, ref = laplacian_matrix(n), laplacian_matrix_reference(n)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lap, name), getattr(ref, name))
+            assert getattr(lap, name).dtype == getattr(ref, name).dtype
+
+    def test_cached_laplacian_matrix_is_read_only(self):
+        lap = laplacian_matrix(16)
+        for name in ("data", "indices", "indptr"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(lap, name)[0] *= 2
+        assert np.array_equal(lap.data, laplacian_matrix_reference(16).data)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_stencil_max_matches_roll_maxima(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, n))
+        values[rng.random((n, n)) < 0.3] = 0.0
+        values[rng.random((n, n)) < 0.3] = -0.0
+        expected = values.copy()
+        for axis in (0, 1):
+            for shift in (1, -1):
+                np.maximum(expected, np.roll(values, shift, axis=axis), out=expected)
+        got = _stencil_max(values)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
