@@ -100,6 +100,7 @@ def _natural_residual(u, hproj, theta, h):
     return float(gap.max())
 
 
+@lru_cache(maxsize=None)
 def _colour_split(n):
     """Red-black split of an n x n grid and the sparse gathers between colours.
 
@@ -107,7 +108,8 @@ def _colour_split(n):
     (mod 2) in row-major order, so ``values.ravel()[order]`` stores a grid
     as two colour vectors.  Row r of gather c sums, with unit weights and in
     the order i-1, i+1, j-1, j+1, the four neighbours of colour c's r-th
-    site, which all have the other colour.
+    site, which all have the other colour.  Every PSOR call at size n shares
+    the cached split, so its arrays are read-only.
     """
     odd = np.arange(n) % 2 == 1
     colour = odd[:, None] ^ odd
@@ -122,7 +124,9 @@ def _colour_split(n):
     for c in (0, 1):
         idx = position.take(table.take(order[c], axis=0))
         gathers.append(sp.csr_matrix((data, idx.ravel(), indptr), shape=(rows, rows)))
-    return order, gathers
+    for arr in (order, *(a for g in gathers for a in (g.data, g.indices, g.indptr))):
+        arr.flags.writeable = False
+    return order, tuple(gathers)
 
 
 def _psor_values(theta, hproj, tol, max_iter, init):

@@ -10,6 +10,7 @@ from maenv import _newton
 from maenv.cli import main
 from maenv.errors import ConfigError, ScenarioFailure
 from maenv.scenarios import (
+    _RADIAL_BALL_MIN_M,
     SCENARIOS,
     parse_config_text,
     read_config,
@@ -52,14 +53,19 @@ EXPECTED_ARTIFACTS = {
     "mass-bound": {"mass_bound.json"},
 }
 
-FAILING_CFG = (
-    "scenario = orthogonality\nseed = 5\nn = 32\ncount = 1\nstep_floor_factor = 0.9\n"
-)
+# three penalization strengths are too few for the iterates to reach the envelope
+FAILING_CFG = "scenario = penalized-convergence\nn = 16\nj_max_log2 = 2\n"
+FAILED_CHECKS = ["final_sup_distance", "final_capacity_metric"]
 
-# an unreachable Newton tolerance: damped Newton stalls inside the scenario
-STALLING_CFG = (
-    "scenario = penalized-convergence\nn = 16\nj_max_log2 = 2\nnewton_tol = 1e-300\n"
-)
+# strengths up to 2**1023: damped Newton stalls inside the scenario
+STALLING_CFG = "scenario = penalized-convergence\nn = 16\nj_max_log2 = 1023\n"
+
+# well-typed values that the scenario cannot run: an axis too coarse for the
+# atom checks' 1e-6, a density with no positive mass
+UNRUNNABLE_CFGS = [
+    ("radial-ball", "m = 2048", f"'m' must be >= {_RADIAL_BALL_MIN_M}"),
+    ("extremal-contact", "theta_amp = 1e17", "theta_amp"),
+]
 
 
 def smoke_text(name):
@@ -78,20 +84,11 @@ class TestConfigParsing:
         assert cfg.scenario == "quasi-triangle"
         assert cfg.seed == 3
         assert cfg.params["triples"] == 10
-        assert cfg.params["n"] == 64  # schema default
-        assert cfg.params["p_values"] == (0.5, 1.0, 2.0)
+        assert cfg.params == {"n": 64, "triples": 10}  # n from the schema default
 
     def test_scenario_from_caller(self):
         cfg = parse_config_text("seed = 1\n", scenario="local-envelopes")
         assert cfg.scenario == "local-envelopes"
-
-    def test_asymmetric_axis_sampling_zero_accepted(self):
-        cfg = parse_config_text("scenario = radial-ball\nt_min = -40\nt_max = 24\n")
-        assert (cfg.params["t_min"], cfg.params["t_max"]) == (-40.0, 24.0)
-
-    def test_float_list_coercion(self):
-        cfg = parse_config_text("scenario = capacity-sandwich\nt_values = 1,2.5,7\n")
-        assert cfg.params["t_values"] == (1.0, 2.5, 7.0)
 
     @pytest.mark.parametrize(
         "text, fragment",
@@ -101,41 +98,30 @@ class TestConfigParsing:
             ("scenario = perron\nn = 64\nn = 32\n", "duplicate"),
             ("scenario = perron\nwavelength = 3\n", "wavelength"),
             ("scenario = perron\nn = sixty-four\n", "'n'"),
-            ("scenario = perron\ngap_tol = -1e-3\n", "gap_tol"),
-            ("scenario = perron\ngap_tol = 0\n", "gap_tol"),
+            # a runner constant is no field
+            ("scenario = perron\ngap_tol = 1e-3\n", "'gap_tol' is not valid for scenario 'perron'"),
             ("scenario = perron\nbroken line\n", "key = value"),
             ("scenario = perron\nn =\n", "empty"),
-            ("scenario = radial-ball\nt_min = 5\n", "t_min"),
-            ("scenario = radial-ball\nt_max = -5\n", "t_max"),
             ("scenario = radial-ball\nm = 1\n", "'m'"),
             ("scenario = local-envelopes\nm = 8\n", "'m'"),
             ("scenario = local-envelopes\nm = 65\n", "'m'"),
             ("scenario = radial-ball\nm = 4095\n", "'m'"),
-            ("scenario = radial-ball\nt_min = -30\n", "t_min"),
-            ("scenario = radial-ball\nt_max = 30\n", "t_min"),
-            ("scenario = radial-ball\ndims = 0\n", "dims"),
-            ("scenario = radial-ball\ndims = 1,1.5\n", "dims"),
+            ("scenario = radial-ball\nm = 4200\n", "'m'"),  # t = 0 misses by rounding
+            ("scenario = extremal-contact\nn = 64\ntheta_amp = 1e16\n", "theta_amp"),
             ("scenario = min-principle\npairs = 0\n", "pairs"),
             ("scenario = quasi-triangle\ntriples = 0\n", "triples"),
             ("scenario = capacity-sandwich\nmasks = 0\n", "masks"),
             ("scenario = capacity-sandwich\nmasks = -2\n", "masks"),
             ("scenario = orthogonality\ncount = 0\n", "count"),
             ("scenario = mass-bound\nseeds = 0\n", "seeds"),
-            ("scenario = quasi-triangle\np_values = 1,-2\n", "p_values"),
             ("scenario = penalized-convergence\nj_max_log2 = -1\n", "j_max_log2"),
-            ("scenario = penalized-convergence\ncap_eps = 0\n", "cap_eps"),
             ("scenario = penalized-convergence\nobstacle_x0 = 0.9\n", "obstacle_x0"),
             ("scenario = penalized-convergence\nobstacle_x1 = 1.5\n", "obstacle_x1"),
-            ("scenario = capacity-sandwich\nt_values = -1\n", "t_values"),
-            ("scenario = extremal-contact\ntheta_base = 0\n", "theta_base"),
             ("scenario = orthogonality\nseed = -1\n", "seed"),
             ("scenario = penalized-convergence\nsmooth_amp = nan\n", "smooth_amp"),
-            ("scenario = penalized-convergence\nobstacle_depth = inf\n", "obstacle_depth"),
+            ("scenario = penalized-convergence\nobstacle_x1 = inf\n", "obstacle_x1"),
             ("scenario = penalized-convergence\nj_max_log2 = 1024\n", "j_max_log2"),
             ("scenario = extremal-contact\ntheta_amp = nan\n", "theta_amp"),
-            ("scenario = extremal-contact\ntheta_base = inf\n", "theta_base"),
-            ("scenario = capacity-sandwich\nt_values = inf\n", "t_values"),
-            ("scenario = perron\npsor_tol = inf\n", "psor_tol"),
         ],
     )
     def test_rejections_name_the_field(self, text, fragment):
@@ -143,8 +129,12 @@ class TestConfigParsing:
             parse_config_text(text)
 
     def test_capacity_sandwich_accepts_a_large_grid(self, tmp_path):
-        cfg = parse_config_text("scenario = capacity-sandwich\nn = 128\nmasks = 1\nt_values = 2\n")
+        cfg = parse_config_text("scenario = capacity-sandwich\nn = 128\nmasks = 1\n")
         assert cfg.params["n"] == 128
+        assert run_scenario(cfg, tmp_path).passed
+
+    def test_radial_ball_passes_at_its_smallest_m(self, tmp_path):
+        cfg = parse_config_text(f"scenario = radial-ball\nm = {_RADIAL_BALL_MIN_M}\n")
         assert run_scenario(cfg, tmp_path).passed
 
     def test_caller_config_scenario_mismatch(self):
@@ -191,12 +181,12 @@ class TestRunScenario:
 
     def test_failing_check_raises_but_still_writes_manifest(self, tmp_path):
         cfg = parse_config_text(FAILING_CFG)
-        with pytest.raises(ScenarioFailure, match="step_defect_floor"):
+        with pytest.raises(ScenarioFailure, match=", ".join(FAILED_CHECKS)):
             run_scenario(cfg, tmp_path)
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert payload["passed"] is False
         failed = [c["name"] for c in payload["checks"] if not c["passed"]]
-        assert failed == ["step_defect_floor"]
+        assert failed == FAILED_CHECKS
 
 
 def manifest_reports(out):
@@ -218,10 +208,12 @@ class TestManifestReports:
         with pytest.raises(ScenarioFailure, match="NewtonStall"):
             run_scenario(parse_config_text(STALLING_CFG), tmp_path)
         rows = manifest_reports(tmp_path)
-        # the PSOR oracle, the fixed-point Newton solve, the stalled penalized step
-        assert [(r["method"], r["converged"]) for r in rows] == [
-            ("psor", True), ("newton", True), ("newton", False)
-        ]
+        outcomes = [(r["method"], r["converged"]) for r in rows]
+        # the PSOR oracle, the fixed-point Newton solve, then the penalized
+        # steps up to the stalled one
+        assert outcomes[:2] == [("psor", True), ("newton", True)]
+        assert {method for method, _ in outcomes[2:]} == {"newton"}
+        assert outcomes[-1] == ("newton", False)
         payload = json.loads((tmp_path / "manifest.json").read_text())
         assert rows[-1]["residual"] == payload["checks"][0]["value"] > 0.0
 
@@ -255,9 +247,9 @@ class TestCliRun:
     def test_failing_scenario_exits_one(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(FAILING_CFG)
-        rc = main(["run", "orthogonality", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        rc = main(["run", "penalized-convergence", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert "step_defect_floor" in capsys.readouterr().err
+        assert ", ".join(FAILED_CHECKS) in capsys.readouterr().err
 
     def test_config_errors_exit_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "qt.cfg"
@@ -281,11 +273,23 @@ class TestCliRun:
 
     def test_out_of_range_value_exits_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("scenario = radial-ball\nt_min = 5\n")
+        cfg_file.write_text("scenario = radial-ball\nm = 4095\n")
         out = tmp_path / "o"
         rc = main(["run", "radial-ball", "--config", str(cfg_file), "--out", str(out)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, line, field", UNRUNNABLE_CFGS)
+    def test_unrunnable_value_exits_two(self, tmp_path, capsys, scenario, line, field):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"scenario = {scenario}\n{line}\n")
+        out = tmp_path / "o"
+        rc = main(["run", scenario, "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_solver_error_exits_one_with_manifest(self, tmp_path, capsys):
@@ -372,8 +376,8 @@ class TestVerifyAll:
         cfg_dir = tmp_path / "configs"
         cfg_dir.mkdir()
         (cfg_dir / "a_good.cfg").write_text(smoke_text("quasi-triangle"))
-        (cfg_dir / "z_bad.cfg").write_text("scenario = perron\ngap_tol = -1\n")
-        with pytest.raises(ConfigError, match="gap_tol"):
+        (cfg_dir / "z_bad.cfg").write_text("scenario = radial-ball\nm = 4095\n")
+        with pytest.raises(ConfigError, match="'m'"):
             verify_all(cfg_dir, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -385,6 +389,18 @@ class TestVerifyAll:
         rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "theta_amp" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, line, field", UNRUNNABLE_CFGS)
+    def test_unrunnable_value_exits_two_before_any_run(self, tmp_path, capsys, scenario, line, field):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "a_good.cfg").write_text(smoke_text("quasi-triangle"))
+        (cfg_dir / "z_bad.cfg").write_text(f"scenario = {scenario}\n{line}\n")
+        rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and field in err
         assert not (tmp_path / "out").exists()
 
     def test_directory_named_like_a_config_exits_two(self, tmp_path, capsys):
@@ -433,7 +449,7 @@ class TestVerifyAll:
         (cfg_dir / "qt.cfg").write_text(smoke_text("quasi-triangle"))
         summary = verify_all(cfg_dir, tmp_path / "workers")
         assert [row[:3] for row in summary.rows] == [
-            ("fail.cfg", "orthogonality", False),
+            ("fail.cfg", "penalized-convergence", False),
             ("local.cfg", "local-envelopes", True),
             ("qt.cfg", "quasi-triangle", True),
         ]

@@ -200,6 +200,14 @@ class TestPsorSweepMatchesReference:
         assert len(history) == 29 // 8 + 2
 
 
+def test_cached_colour_split_is_read_only():
+    order, gathers = obstacle._colour_split(16)
+    assert obstacle._colour_split(16)[0] is order
+    for arr in (order, *(a for g in gathers for a in (g.data, g.indices, g.indptr))):
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0
+
+
 def crossing_min(grid, seed):
     theta = theta_cosine(grid, 1.0)
     rng = np.random.default_rng(seed)
