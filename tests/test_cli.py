@@ -12,6 +12,7 @@ from maenv.errors import ConfigError, ScenarioFailure
 from maenv.scenarios import (
     _RADIAL_BALL_MIN_M,
     SCENARIOS,
+    ScenarioConfig,
     parse_config_text,
     read_config,
     run_scenario,
@@ -107,6 +108,9 @@ class TestConfigParsing:
             ("scenario = local-envelopes\nm = 65\n", "'m'"),
             ("scenario = radial-ball\nm = 4095\n", "'m'"),
             ("scenario = radial-ball\nm = 4200\n", "'m'"),  # t = 0 misses by rounding
+            ("scenario = radial-ball\nm = 2518\n", f"'m' must be >= {_RADIAL_BALL_MIN_M}"),
+            ("scenario = extremal-contact\nn = 16\ntheta_amp = 1e17\n", "theta_amp"),
+            ("scenario = extremal-contact\nn = 32\ntheta_amp = 1e17\n", "theta_amp"),
             ("scenario = extremal-contact\nn = 64\ntheta_amp = 1e16\n", "theta_amp"),
             ("scenario = min-principle\npairs = 0\n", "pairs"),
             ("scenario = quasi-triangle\ntriples = 0\n", "triples"),
@@ -136,6 +140,40 @@ class TestConfigParsing:
     def test_radial_ball_passes_at_its_smallest_m(self, tmp_path):
         cfg = parse_config_text(f"scenario = radial-ball\nm = {_RADIAL_BALL_MIN_M}\n")
         assert run_scenario(cfg, tmp_path).passed
+
+    # the other side of each limit: the largest theta_amp power of ten that
+    # keeps a positive mass per n, and the radial-ball floor, which
+    # local-envelopes does not share
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"scenario = radial-ball\nm = {_RADIAL_BALL_MIN_M}\n",
+            "scenario = local-envelopes\nm = 64\n",
+            "scenario = extremal-contact\nn = 16\ntheta_amp = 1e16\n",
+            "scenario = extremal-contact\nn = 32\ntheta_amp = 1e16\n",
+            "scenario = extremal-contact\nn = 64\ntheta_amp = 1e15\n",
+            "scenario = extremal-contact\nn = 128\ntheta_amp = 1e16\n",
+        ],
+    )
+    def test_values_at_a_limit_are_accepted(self, text):
+        cfg = parse_config_text(text)
+        for line in text.splitlines()[1:]:
+            key, _, raw = line.partition(" = ")
+            assert cfg.params[key] == float(raw)
+
+    # below the floor the atom checks really fail: for n = 1 and 2 just
+    # under it, for every n further down
+    @pytest.mark.parametrize(
+        "m, failed",
+        [
+            (_RADIAL_BALL_MIN_M - 2, [f"{c}_n{nd}" for nd in (1, 2) for c in ("atom_mass", "orthogonality_defect")]),
+            (2048, [f"{c}_n{nd}" for nd in (1, 2, 3) for c in ("atom_mass", "orthogonality_defect")]),
+        ],
+    )
+    def test_radial_ball_fails_below_its_smallest_m(self, tmp_path, m, failed):
+        cfg = ScenarioConfig("radial-ball", 0, {"m": m})  # past the schema's floor
+        with pytest.raises(ScenarioFailure, match=", ".join(failed)):
+            run_scenario(cfg, tmp_path)
 
     def test_caller_config_scenario_mismatch(self):
         with pytest.raises(ConfigError, match="command line"):
