@@ -14,7 +14,10 @@ identically zero (full-grid case) or a Dirichlet mask pins the constant mode
 (local case).  A backtracking line search on the squared residual norm keeps
 the iteration inside the monotone basin.
 
-Linear solves: the first Newton matrix of a call is factored once by sparse
+Linear solves: every Newton matrix of an n x n grid is written into one
+sparse pattern, that of -C, built once per n and cached with its diagonal
+positions; a step copies the pattern's data and adds its weights on the
+diagonal.  The first Newton matrix of a call is factored once by sparse
 LU (minimum-degree ordering on A^T + A, which suits the symmetric pattern).
 Each later step solves its own matrix by conjugate gradients preconditioned
 with that factorization, a lagged-Jacobian preconditioner: the matrices of
@@ -31,6 +34,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,22 +123,60 @@ def collect_reports():
         _COLLECTED.reset(token)
 
 
+@lru_cache(maxsize=None)
+def _curvature_operators(n):
+    """The curvature matrix C of an n x n grid and the Newton matrices' pattern.
+
+    Returns ``(cmat, neg, diag)``: ``cmat`` is laplacian_matrix(n) / (2 pi)
+    in CSR, the residual's operator; ``neg`` is -C in CSR with sorted
+    indices, and ``diag`` the positions of its diagonal in ``neg.data``.
+    Every Newton call at size n shares them, so their arrays are read-only.
+    """
+    cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
+    neg = -cmat
+    diag = _diagonal_positions(neg)
+    for arr in (diag, *(a for m in (cmat, neg) for a in (m.data, m.indices, m.indptr))):
+        arr.flags.writeable = False
+    return cmat, neg, diag
+
+
+def _diagonal_positions(mat):
+    """Positions in ``mat.data`` of the diagonal of a CSR matrix that stores it in every row."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    return np.flatnonzero(mat.indices == rows)
+
+
 class _LaggedLU:
     """Solves with diag(w) - C for a sequence of weights w, reusing one LU.
 
-    The first solve factors its matrix; later ones run CG preconditioned
-    with that factorization and refactor only when CG misses ``_CG_RTOL``
-    within ``_CG_MAXITER`` iterations.
+    C is the curvature matrix of an n x n grid, restricted to the sites
+    ``idx`` when given (once per call).  Every matrix is written into the
+    pattern of -C: a copy of its data plus w at the diagonal positions,
+    wrapped with the shared index arrays.  That is sp.diags(w) - C bit for
+    bit, since w - c == (-c) + w and the pattern stores every diagonal
+    entry.  The first solve factors its matrix; later ones run CG
+    preconditioned with that factorization and refactor only when CG misses
+    ``_CG_RTOL`` within ``_CG_MAXITER`` iterations.
     """
 
-    def __init__(self, cmat):
-        self.cmat = cmat
+    def __init__(self, n, idx=None):
+        _, neg, diag = _curvature_operators(n)
+        if idx is not None:
+            neg = neg[idx][:, idx]
+            diag = _diagonal_positions(neg)
+        self.neg = neg
+        self.diag = diag
         self.lu = None
         self.factorizations = 0
         self.cg_iterations = 0
 
+    def matrix(self, w):
+        data = self.neg.data.copy()
+        data[self.diag] += w
+        return sp.csr_matrix((data, self.neg.indices, self.neg.indptr), shape=self.neg.shape)
+
     def solve(self, w, g):
-        m = sp.diags(w) - self.cmat
+        m = self.matrix(w)
         if self.lu is not None:
             delta, its, converged = conjugate_gradients(
                 m.dot, g, self.lu.solve, _CG_RTOL, _CG_MAXITER
@@ -142,9 +184,10 @@ class _LaggedLU:
             self.cg_iterations += its
             if converged:
                 return delta
-        # minimum degree on A^T + A suits the symmetric pattern (about half
-        # the fill of the default column ordering)
-        self.lu = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        # m is symmetric, so m.T, the CSC view of its arrays, is m; minimum
+        # degree on A^T + A suits the symmetric pattern (about half the fill
+        # of the default column ordering)
+        self.lu = spla.splu(m.T, permc_spec="MMD_AT_PLUS_A")
         self.factorizations += 1
         return self.lu.solve(g)
 
@@ -167,7 +210,7 @@ def newton_semilinear(
     both carrying the best iterate.
     """
     n = theta.shape[0]
-    cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
+    cmat = _curvature_operators(n)[0]
     th = theta.ravel()
     flat_terms = [
         (float(s), np.asarray(off, dtype=float).ravel(), np.asarray(rho, dtype=float).ravel())
@@ -190,7 +233,7 @@ def newton_semilinear(
             g = g[idx]
         return g, weight
 
-    solver = _LaggedLU(cmat if idx is None else cmat[idx][:, idx])
+    solver = _LaggedLU(n, idx)
 
     def report(it, res_inf, converged):
         return SolverReport(

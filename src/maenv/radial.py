@@ -50,8 +50,10 @@ __all__ = [
 class TAxis:
     """Uniform samples t_k = t_min + k*(t_max - t_min)/m, k = 0..m-1.
 
-    The half-open convention keeps t = 0 on the grid for symmetric axes with
-    power-of-two m (the atom of the ball example sits exactly at 0).
+    The samples are computed as (k - k0)*dt with k0 = m*(-t_min)/(t_max -
+    t_min), the index of t = 0.  Whenever k0 is an integer, as for every even
+    m on a symmetric axis, the sample at k0 is exactly 0.0 (the atom of the
+    ball example sits there); t_min + k*dt can miss it by rounding.
     """
 
     t_min: float = -40.0
@@ -70,7 +72,8 @@ class TAxis:
 
     @property
     def ts(self) -> np.ndarray:
-        return self.t_min + self.dt * np.arange(self.m)
+        k0 = self.m * -self.t_min / (self.t_max - self.t_min)
+        return (np.arange(self.m) - k0) * self.dt
 
 
 class RadialProfile:

@@ -217,7 +217,7 @@ def _check_ranges(name: str, params: dict) -> None:
         )
     if "m" in params:
         # the ball's atom and the point obstacle sit at t = 0, so the axis
-        # must sample it exactly: t_min + k*dt has to round to 0.0 at some k
+        # must sample it exactly
         ts = TAxis(m=params["m"]).ts
         if not (ts == 0.0).any():
             raise ConfigError(

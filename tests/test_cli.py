@@ -107,7 +107,6 @@ class TestConfigParsing:
             ("scenario = local-envelopes\nm = 8\n", "'m'"),
             ("scenario = local-envelopes\nm = 65\n", "'m'"),
             ("scenario = radial-ball\nm = 4095\n", "'m'"),
-            ("scenario = radial-ball\nm = 4200\n", "'m'"),  # t = 0 misses by rounding
             ("scenario = radial-ball\nm = 2518\n", f"'m' must be >= {_RADIAL_BALL_MIN_M}"),
             ("scenario = extremal-contact\nn = 16\ntheta_amp = 1e17\n", "theta_amp"),
             ("scenario = extremal-contact\nn = 32\ntheta_amp = 1e17\n", "theta_amp"),
@@ -140,6 +139,12 @@ class TestConfigParsing:
     def test_radial_ball_passes_at_its_smallest_m(self, tmp_path):
         cfg = parse_config_text(f"scenario = radial-ball\nm = {_RADIAL_BALL_MIN_M}\n")
         assert run_scenario(cfg, tmp_path).passed
+
+    @pytest.mark.parametrize("scenario", ["local-envelopes", "radial-ball"])
+    def test_an_even_m_that_t_min_plus_k_dt_misses_zero_at_parses(self, scenario):
+        # t_min + k*dt rounds past t = 0 at m = 4200; the axis samples it exactly
+        cfg = parse_config_text(f"scenario = {scenario}\nm = 4200\n")
+        assert cfg.params["m"] == 4200
 
     # the other side of each limit: the largest theta_amp power of ten that
     # keeps a positive mass per n, and the radial-ball floor, which

@@ -473,6 +473,27 @@ class TestPenalizedScheme:
         plain = psor_envelope(theta_one_small, v, tol=1e-9)
         assert np.abs(final.values - plain.u.values).max() > 0.9
 
+    @pytest.mark.parametrize(
+        "js, fewer_steps",
+        [(tuple(float(2**k) for k in range(13)), True), ((1.0, 3.0, 10.0, 30.0, 100.0), False)],
+        ids=["doubling", "uneven"],
+    )
+    def test_predicted_starts_reach_the_warm_started_iterates(self, js, fewer_steps):
+        # from the third strength on the schedule starts Newton from a secant
+        # in 1/j; the solves must land on the iterates of the plain warm start
+        grid = TorusGrid(32)
+        theta = ThetaDensity(constant_field(grid, 1.0))
+        mu = MeasureDensity(constant_field(grid, 1.0))
+        v = kinked_obstacle(grid)
+        pe = penalized_envelope(theta, v, mu, schedule=PenalizationSchedule(js=js))
+        phi, warm_iterations = None, 0
+        for j, predicted in zip(js, pe.iterates):
+            phi, report = penalized_step(theta, v, mu, j, init=phi)
+            warm_iterations += report.iterations
+            assert np.abs(predicted.values - phi.values).max() <= 1e-9
+        if fewer_steps:
+            assert sum(r.iterations for r in pe.reports) < warm_iterations
+
     def test_schedule_validation(self):
         PenalizationSchedule()
         for js in [(4.0, 2.0), (1.0, 1.0), (-1.0, 2.0), ()]:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import maenv._newton
 import maenv.equations
@@ -30,7 +31,7 @@ from maenv.equations import (
 from maenv.errors import FamilyExhausted, InputNotSupersolution, NoSubsolution
 from maenv.obstacle import PenalizationSchedule, penalized_envelope
 from maenv.torus import MeasureDensity
-from maenv.torus import integrate
+from maenv.torus import integrate, laplacian_matrix
 
 from oracles import newton_direct_reference, spectral_exponential_1d
 
@@ -332,6 +333,32 @@ class TestNewtonMatchesDirectReference:
         self.assert_match(pairs, one_factorization=False)
         for (_, rep), _ in pairs:
             assert rep.factorizations == rep.iterations
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_newton_matrix_equals_the_assembled_sum(n):
+    # each step writes diag(w) - C into the cached pattern of -C; it must
+    # be the sparse sum bit for bit, on the full grid and on a free set
+    rng = np.random.default_rng(n)
+    cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
+    w = rng.exponential(size=n * n) * 10.0 ** rng.uniform(-3.0, 6.0, n * n)
+    w[rng.random(n * n) < 0.2] = 0.0
+    idx = np.flatnonzero(rng.random(n * n) < 0.6)
+    cases = [
+        (maenv._newton._LaggedLU(n).matrix(w), sp.diags(w) - cmat),
+        (maenv._newton._LaggedLU(n, idx).matrix(w[idx]), sp.diags(w[idx]) - cmat[idx][:, idx]),
+    ]
+    for got, want in cases:
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_cached_newton_operators_are_read_only():
+    cmat, neg, diag = maenv._newton._curvature_operators(16)
+    assert maenv._newton._curvature_operators(16)[1] is neg
+    for arr in (diag, *(a for m in (cmat, neg) for a in (m.data, m.indices, m.indptr))):
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0
 
 
 _SCHEDULE_DIGEST = """

@@ -35,6 +35,16 @@ class TestAxisAndProfile:
         with pytest.raises(ValueError):
             TAxis(-40.0, 40.0, 32)  # too coarse
 
+    def test_zero_is_a_sample_where_the_offset_form_misses_it(self):
+        # t_min + k*dt rounds past 0.0 at k = 1263 for m = 2526
+        axis = TAxis(m=2526)
+        assert 0.0 in axis.ts
+        assert 0.0 not in axis.t_min + axis.dt * np.arange(axis.m)
+
+    def test_samples_keep_the_offset_form_at_a_power_of_two(self):
+        axis = TAxis(m=4096)
+        assert np.array_equal(axis.ts, axis.t_min + axis.dt * np.arange(axis.m))
+
     def test_profile_rejects_out_of_range_slopes(self):
         axis = TAxis(-10.0, 10.0, 128)
         with pytest.raises(ValueError):
