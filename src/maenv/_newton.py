@@ -18,7 +18,10 @@ Linear solves: every Newton matrix of an n x n grid is written into one
 sparse pattern, that of -C, built once per n and cached with its diagonal
 positions; a step copies the pattern's data and adds its weights on the
 diagonal.  The first Newton matrix of a call is factored once by sparse
-LU (minimum-degree ordering on A^T + A, which suits the symmetric pattern).
+LU (minimum-degree ordering on A^T + A, which suits the symmetric pattern;
+no relaxed supernodes and panels of 10 columns, which on the five-point
+pattern make a factorization about 40% and a solve 15-20% cheaper than
+SuperLU's defaults, with the same ordering, pivots and fill).
 Each later step solves its own matrix by conjugate gradients preconditioned
 with that factorization, a lagged-Jacobian preconditioner: the matrices of
 consecutive steps differ only in the diagonal.  If CG does not reach the
@@ -186,8 +189,14 @@ class _LaggedLU:
                 return delta
         # m is symmetric, so m.T, the CSC view of its arrays, is m; minimum
         # degree on A^T + A suits the symmetric pattern (about half the fill
-        # of the default column ordering)
-        self.lu = spla.splu(m.T, permc_spec="MMD_AT_PLUS_A")
+        # of the default column ordering).  relax=1 turns off SuperLU's
+        # relaxed supernodes (default 10) and panel_size=10 halves the
+        # default panel of 20 columns: on this pattern the merged dense
+        # blocks cost more than they save.  Ordering, pivots and fill stay
+        # the default's; at n = 64 a factorization takes 8.8 ms against
+        # 13.7 ms and a solve 0.27 ms against 0.34 ms (2 vCPUs, one BLAS
+        # thread).
+        self.lu = spla.splu(m.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=10)
         self.factorizations += 1
         return self.lu.solve(g)
 

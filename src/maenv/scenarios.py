@@ -642,7 +642,8 @@ def _scn_local_envelopes(p, seed):
         Check("interior_envelope_is_zero", vi == 0.0, vi, 0.0),
         Check("closure_envelope_is_minus_one", vc == 0.0, vc, 0.0),
     ]
-    files = {"local_envelopes.csv": "mode,value\ninterior,0\nclosure,-1\n"}
+    # each row: the envelope's expected value and its computed sup deviation
+    files = {"local_envelopes.csv": _csv("mode,value,deviation", [("interior", 0, vi), ("closure", -1, vc)])}
     return checks, files
 
 

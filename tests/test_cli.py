@@ -2,10 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import maenv
+import maenv.scenarios
 from maenv import _newton
 from maenv.cli import main
 from maenv.errors import ConfigError, ScenarioFailure
@@ -20,6 +26,7 @@ from maenv.scenarios import (
 )
 from maenv.fields import theta_cosine
 from maenv.obstacle import psor_envelope
+from maenv.radial import local_envelope_ball
 from maenv.torus import TorusGrid, constant_field
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -232,6 +239,25 @@ class TestRunScenario:
         assert failed == FAILED_CHECKS
 
 
+    @pytest.mark.parametrize("shift, written", [(0.0, "0"), (0.125, "0.125")])
+    def test_local_envelopes_csv_carries_the_computed_deviation(self, tmp_path, monkeypatch, shift, written):
+        # an interior envelope shifted by 1/8 fails its check, and the
+        # artifact written before the failure shows the deviation
+        def shifted(h, axis, mode):
+            env = local_envelope_ball(h, axis, mode)
+            return replace(env, values=env.values + shift) if mode == "interior" else env
+
+        monkeypatch.setattr(maenv.scenarios, "local_envelope_ball", shifted)
+        cfg = parse_config_text(smoke_text("local-envelopes"))
+        if shift:
+            with pytest.raises(ScenarioFailure, match="interior_envelope_is_zero"):
+                run_scenario(cfg, tmp_path)
+        else:
+            run_scenario(cfg, tmp_path)
+        rows = (tmp_path / "local_envelopes.csv").read_text().splitlines()
+        assert rows == ["mode,value,deviation", f"interior,0,{written}", "closure,-1,0"]
+
+
 def manifest_reports(out):
     return json.loads((out / "manifest.json").read_text())["reports"]
 
@@ -403,6 +429,22 @@ class TestVerifyAll:
         stdout = capsys.readouterr().out
         assert "2 scenario(s), 2 passed, 0 failed" in stdout
         assert (tmp_path / "out" / "qt" / "manifest.json").exists()
+        assert (tmp_path / "out" / "local" / "manifest.json").exists()
+
+    def test_python_dash_m_runs_verify_all(self, tmp_path):
+        # the package runs as a module, not only through the installed script
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "local.cfg").write_text(smoke_text("local-envelopes"))
+        src = str(Path(maenv.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "maenv", "verify-all", str(cfg_dir), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert "1 scenario(s), 1 passed, 0 failed" in run.stdout
         assert (tmp_path / "out" / "local" / "manifest.json").exists()
 
     def test_empty_directory_is_a_successful_noop(self, tmp_path):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import maenv._newton
 import maenv.equations
@@ -351,6 +352,36 @@ def test_newton_matrix_equals_the_assembled_sum(n):
     for got, want in cases:
         for name in ("data", "indices", "indptr"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("weights", ["random", "zero_on_80_percent", "one_site"])
+def test_direct_solve_matches_default_superlu(n, weights):
+    # the first solve factors with the Newton layer's SuperLU settings (no
+    # relaxed supernodes, panels of 10): it must solve the system and agree
+    # with a default-settings factorization.  With one weighted site only
+    # that site pins the constant mode; at n = 64 two orderings then differ
+    # by about 1.1e-12 at rounding (the default settings on the same
+    # minimum-degree ordering too), so that case is held to 2e-12.
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1e6, n * n)
+    if weights == "zero_on_80_percent":
+        w[rng.random(n * n) < 0.8] = 0.0
+    elif weights == "one_site":
+        w[np.arange(n * n) != rng.integers(n * n)] = 0.0
+    g = rng.standard_normal(n * n)
+    solver = maenv._newton._LaggedLU(n)
+    x = solver.solve(w, g)
+    assert solver.factorizations == 1
+    m = solver.matrix(w)
+    assert np.abs(m @ x - g).max() <= 1e-12 * np.abs(g).max()
+    ref = spla.splu(m.tocsc()).solve(g)
+    tol = 2e-12 if weights == "one_site" else 1e-12
+    assert np.abs(x - ref).max() <= tol * np.abs(ref).max()
+    # the same ordering under SuperLU's default supernodes and panels: the
+    # settings move only the rounding
+    same_order = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(g)
+    assert np.abs(x - same_order).max() <= 1e-13 * np.abs(same_order).max()
 
 
 def test_cached_newton_operators_are_read_only():
