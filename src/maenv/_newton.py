@@ -97,6 +97,7 @@ class SolverReport:
 
     ``factorizations`` and ``cg_iterations`` count the work of Newton's
     linear solves.  For PSOR, ``iterations`` counts sweeps,
+    ``coarse_sweeps`` the sweeps of its coarse-grid start (0 for Newton),
     ``cg_iterations`` the CG iterations of its active-set steps, and
     ``factorizations`` stays 0.  Inside :func:`collect_reports` every
     report appends itself to the collected list when it is built.
@@ -110,6 +111,7 @@ class SolverReport:
     damping: list = field(default_factory=list)
     factorizations: int = 0
     cg_iterations: int = 0
+    coarse_sweeps: int = 0
 
     def __post_init__(self):
         if (collected := _COLLECTED.get()) is not None:

@@ -270,7 +270,8 @@ class TestManifestReports:
         assert len(rows) == 4
         assert all(r["method"] == "psor" and r["converged"] for r in rows)
         assert set(rows[0]) == {
-            "method", "iterations", "cg_iterations", "factorizations", "residual", "converged"
+            "method", "iterations", "cg_iterations", "factorizations", "residual", "converged",
+            "coarse_sweeps",
         }
 
     def test_failed_newton_solve_is_listed(self, tmp_path):

@@ -20,7 +20,7 @@ from maenv import (
 from maenv.errors import EmptySupport, NonConvergence
 from maenv.fields import random_theta_psh, step_band, supersolution_corpus
 from maenv.torus import MeasureDensity
-from maenv import obstacle
+from maenv import _newton, obstacle
 from maenv.obstacle import (
     PenalizationSchedule,
     _natural_residual,
@@ -248,8 +248,8 @@ class TestActiveSetFinishMatchesPsor:
 
     @staticmethod
     def reference(theta, hproj):
-        # 16n sweeps reach 1e-12 at n = 32 and the rounding floor (~3e-12)
-        # of the residual at n = 64
+        # 16n sweeps reach 1e-12 at n = 32 and the rounding floor of the
+        # residual at n = 64 (~3e-12) and n = 128 (below the 1e-9 asserted)
         n = theta.shape[0]
         init = np.full_like(hproj, float(hproj[np.isfinite(hproj)].min()))
         u, _, res, _, _ = _psor_values(theta, hproj, 1e-12, 16 * n, init)
@@ -277,15 +277,20 @@ class TestActiveSetFinishMatchesPsor:
         assert sol.report.residual <= self.TOL
         return sol
 
-    @pytest.mark.parametrize("n", [32, 64])
+    # n = 128 starts from the coarse levels 64, 32 and 16
+    @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize(
         "make_obstacle, make_mask",
         [case[1:] for case in CROSS_CHECK_CASES],
         ids=[case[0] for case in CROSS_CHECK_CASES],
     )
     def test_agrees_with_psor(self, n, make_obstacle, make_mask):
-        sol = self.check(n, make_obstacle, make_mask)
+        with _newton.collect_reports() as collected:
+            sol = self.check(n, make_obstacle, make_mask)
         report = sol.report
+        # the coarse levels add no report of their own
+        assert collected == [report]
+        assert report.coarse_sweeps > 0
         # the sweeps stopped at the first residual check (one history entry
         # per 8 sweeps) below the handover residual, so PSOR never resumed;
         # every active-set step after them appended its residual and ran
@@ -309,6 +314,43 @@ class TestActiveSetFinishMatchesPsor:
         monkeypatch.setattr(obstacle, "_ACTIVE_SET_STEPS", 0)
         sol = self.check(n, make_obstacle, make_mask)
         assert sol.report.cg_iterations == 0
+
+
+def alternating_theta(n):
+    # theta = -1 on the even sub-lattice, so the injected problem has no
+    # theta-psh field at all: sweeps from any start drift down forever
+    i = np.arange(n) % 2 == 0
+    return ThetaDensity(GridField(TorusGrid(n), 1.0 - 2.0 * (i[:, None] & i[None, :])))
+
+
+class TestCoarseStartGuards:
+    """A coarse level that cannot help is dropped for the constant start."""
+
+    def test_injected_theta_without_positive_mass(self):
+        n = 64
+        theta = alternating_theta(n)
+        h = GridField(theta.grid, smooth_obstacle(n))
+        sol = psor_envelope(theta, h, tol=1e-9)
+        want, want_res = TestActiveSetFinishMatchesPsor.reference(theta.density.values, h.values)
+        assert want_res <= 1e-9
+        assert np.abs(sol.u.values - want).max() <= 1e-9
+        assert sol.report.converged
+        assert sol.report.iterations <= 184  # the constant start's count
+        assert sol.report.coarse_sweeps == 0
+
+    def test_missed_budget_gives_the_constant_start(self, monkeypatch):
+        n = 64
+        theta = theta_cosine(TorusGrid(n), 1.0)
+        h = GridField(theta.grid, crossing_min(theta.grid, 0))
+        with monkeypatch.context() as m:
+            m.setattr(obstacle, "_COARSE_MIN_N", n + 1)
+            constant = psor_envelope(theta, h, tol=1e-9)
+        monkeypatch.setattr(obstacle, "_COARSE_BUDGET", 0)
+        missed = psor_envelope(theta, h, tol=1e-9)
+        assert np.array_equal(missed.u.values, constant.u.values)
+        assert missed.report.iterations == constant.report.iterations == 64
+        assert missed.report.history == constant.report.history
+        assert missed.report.coarse_sweeps == 0
 
 
 METAMORPHIC_CASES = [(n, seed) for n in (16, 32) for seed in (0, 1, 2)]
