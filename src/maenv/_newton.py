@@ -17,7 +17,8 @@ the iteration inside the monotone basin.
 Linear solves: every Newton matrix of an n x n grid is written into one
 sparse pattern, that of -C, built once per n and cached with its diagonal
 positions; a step copies the pattern's data and adds its weights on the
-diagonal.  The first Newton matrix of a call is factored once by sparse
+diagonal.  The residual applies the same cached -C, and the obstacle
+solver's free-set solves restrict it to their free sites.  The first Newton matrix of a call is factored once by sparse
 LU (minimum-degree ordering on A^T + A, which suits the symmetric pattern;
 no relaxed supernodes and panels of 10 columns, which on the five-point
 pattern make a factorization about 40% and a solve 15-20% cheaper than
@@ -130,19 +131,20 @@ def collect_reports():
 
 @lru_cache(maxsize=None)
 def _curvature_operators(n):
-    """The curvature matrix C of an n x n grid and the Newton matrices' pattern.
+    """The negated curvature matrix -C of an n x n grid and its diagonal.
 
-    Returns ``(cmat, neg, diag)``: ``cmat`` is laplacian_matrix(n) / (2 pi)
-    in CSR, the residual's operator; ``neg`` is -C in CSR with sorted
-    indices, and ``diag`` the positions of its diagonal in ``neg.data``.
-    Every Newton call at size n shares them, so their arrays are read-only.
+    Returns ``(neg, diag)``: ``neg`` is -laplacian_matrix(n) / (2 pi) in
+    CSR with sorted indices, and ``diag`` the positions of its diagonal in
+    ``neg.data``.  It is the Newton residual's operator, the pattern of
+    every Newton matrix and, restricted to the free sites, the operator of
+    the obstacle solver's free-set solves.  Every call at size n shares
+    them, so their arrays are read-only.
     """
-    cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
-    neg = -cmat
+    neg = -(laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
     diag = _diagonal_positions(neg)
-    for arr in (diag, *(a for m in (cmat, neg) for a in (m.data, m.indices, m.indptr))):
+    for arr in (diag, neg.data, neg.indices, neg.indptr):
         arr.flags.writeable = False
-    return cmat, neg, diag
+    return neg, diag
 
 
 def _diagonal_positions(mat):
@@ -165,7 +167,7 @@ class _LaggedLU:
     """
 
     def __init__(self, n, idx=None):
-        _, neg, diag = _curvature_operators(n)
+        neg, diag = _curvature_operators(n)
         if idx is not None:
             neg = neg[idx][:, idx]
             diag = _diagonal_positions(neg)
@@ -221,7 +223,7 @@ def newton_semilinear(
     both carrying the best iterate.
     """
     n = theta.shape[0]
-    cmat = _curvature_operators(n)[0]
+    neg = _curvature_operators(n)[0]
     th = theta.ravel()
     flat_terms = [
         (float(s), np.asarray(off, dtype=float).ravel(), np.asarray(rho, dtype=float).ravel())
@@ -239,7 +241,7 @@ def newton_semilinear(
             e = np.exp(np.minimum(s * (p - off), _EXP_CAP)) * rho
             rhs += e
             weight += s * e
-        g = th + cmat @ p - rhs
+        g = th - neg @ p - rhs
         if idx is not None:
             g = g[idx]
         return g, weight

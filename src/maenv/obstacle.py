@@ -49,14 +49,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._newton import SolverReport, conjugate_gradients, newton_semilinear
+from ._newton import SolverReport, _curvature_operators, conjugate_gradients, newton_semilinear
 from .errors import EmptySupport, NonConvergence
 from .torus import (
     GridField,
     MeasureDensity,
     ThetaDensity,
     curvature_values,
-    laplacian_matrix,
     ma_density,
     neighbor_sum,
     neighbor_table,
@@ -264,7 +263,8 @@ def _free_set_solve(u, theta, h, free):
     """Solve theta + curvature(u) = 0 on the free sites, u fixed elsewhere.
 
     Conjugate gradients on the free sites' correction, with the free-set
-    block of -curvature as the operator.  When the free set holds at least
+    block of the Newton layer's cached -C (:func:`_curvature_operators`)
+    as the operator.  When the free set holds at least
     ``_FFT_MIN_FREE`` of the sites, CG is preconditioned by the periodic
     inverse of -curvature (an FFT division) restricted to the free set;
     on a smaller free set, thin strips between contact regions, the
@@ -274,8 +274,7 @@ def _free_set_solve(u, theta, h, free):
     """
     n = u.shape[0]
     idx = np.flatnonzero(free)
-    op = laplacian_matrix(n)[idx][:, idx]
-    op *= -1.0 / (2.0 * np.pi)
+    op = _curvature_operators(n)[0][idx][:, idx]
     r = curvature_values(u, h)
     r += theta
     r = r.ravel()[idx]

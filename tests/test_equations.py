@@ -336,18 +336,22 @@ class TestNewtonMatchesDirectReference:
             assert rep.factorizations == rep.iterations
 
 
-@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("n", [8, 24, 32])
 def test_newton_matrix_equals_the_assembled_sum(n):
     # each step writes diag(w) - C into the cached pattern of -C; it must
-    # be the sparse sum bit for bit, on the full grid and on a free set
+    # be the sparse sum bit for bit, on the full grid and on a free set.
+    # The free-set solves restrict the same -C; it must equal the scaled
+    # block of the Laplacian that they once built on every step.
     rng = np.random.default_rng(n)
     cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
     w = rng.exponential(size=n * n) * 10.0 ** rng.uniform(-3.0, 6.0, n * n)
     w[rng.random(n * n) < 0.2] = 0.0
     idx = np.flatnonzero(rng.random(n * n) < 0.6)
+    block = laplacian_matrix(n)[idx][:, idx] * (-1.0 / (2.0 * np.pi))
     cases = [
         (maenv._newton._LaggedLU(n).matrix(w), sp.diags(w) - cmat),
         (maenv._newton._LaggedLU(n, idx).matrix(w[idx]), sp.diags(w[idx]) - cmat[idx][:, idx]),
+        (maenv._newton._curvature_operators(n)[0][idx][:, idx], block.tocsr()),
     ]
     for got, want in cases:
         for name in ("data", "indices", "indptr"):
@@ -385,9 +389,9 @@ def test_direct_solve_matches_default_superlu(n, weights):
 
 
 def test_cached_newton_operators_are_read_only():
-    cmat, neg, diag = maenv._newton._curvature_operators(16)
-    assert maenv._newton._curvature_operators(16)[1] is neg
-    for arr in (diag, *(a for m in (cmat, neg) for a in (m.data, m.indices, m.indptr))):
+    neg, diag = maenv._newton._curvature_operators(16)
+    assert maenv._newton._curvature_operators(16)[0] is neg
+    for arr in (diag, neg.data, neg.indices, neg.indptr):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
 
