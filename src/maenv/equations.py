@@ -80,14 +80,17 @@ def solve_ma_exponential(
 
 @dataclass
 class PminResult:
-    """P(min(u,v)) together with the partition-defect certificate."""
+    """P(min(u,v)) together with the partition-defect certificate.
+
+    ``mask_u`` and ``mask_v`` are the exact contact set phi == min(u, v)
+    where u <= v and where v <= u respectively.
+    """
 
     phi: GridField
     mask_u: np.ndarray
     mask_v: np.ndarray
     max_defect: float
     l1_defect: float
-    contact_tol: float
 
 
 def pmin_compose(
@@ -99,18 +102,18 @@ def pmin_compose(
     """Envelope of min(u, v) and the defect of the partition inequality.
 
     The defect is ma(phi) - [1_{phi=u} ma(u) + 1_{phi=v} ma(v)] with the
-    contact masks taken at the tolerance ``contact_tol`` = 1e-6 * (1 +
-    max |min(u, v)|); its maximum ``max_defect`` is at solver scale for
-    admissible u, v, while its L1 norm ``l1_defect`` shrinks linearly with
-    the grid spacing (the detachment ring carries O(h) mass).
+    exact contact masks: the solution's contact set phi == min(u, v),
+    split into the sites where u <= v and those where v <= u (both where
+    u == v).  Its maximum ``max_defect`` is at solver scale for admissible
+    u, v, while its L1 norm ``l1_defect`` shrinks linearly with the grid
+    spacing (the detachment ring carries O(h) mass).
     """
     grid = theta.grid
     obstacle = GridField(grid, np.minimum(u.values, v.values))
     sol = psor_envelope(theta, obstacle, tol=psor_tol)
     phi = sol.u
-    contact_tol = 1e-6 * (1.0 + float(np.abs(obstacle.values).max()))
-    mask_u = phi.values >= u.values - contact_tol
-    mask_v = phi.values >= v.values - contact_tol
+    mask_u = sol.contact_mask & (u.values <= v.values)
+    mask_v = sol.contact_mask & (v.values <= u.values)
     claimed = mask_u * ma_density(theta, u).values + mask_v * ma_density(theta, v).values
     defect = ma_density(theta, phi).values - claimed
     return PminResult(
@@ -119,7 +122,6 @@ def pmin_compose(
         mask_v,
         float(defect.max()),
         float(np.abs(defect).sum()) * grid.h**2,
-        contact_tol,
     )
 
 

@@ -115,17 +115,17 @@ class TestMinComposition:
         pm = pmin_compose(theta_one, u, v)
         assert pm.max_defect <= 1e-6
         assert pm.l1_defect >= 0.0
-        # contact masks agree with the contact tolerance
-        assert (pm.mask_u == (pm.phi.values >= u.values - pm.contact_tol)).all()
-        assert (pm.mask_v == (pm.phi.values >= v.values - pm.contact_tol)).all()
+        # the masks split the exact contact set by the smaller input
+        contact = pm.phi.values == np.minimum(u.values, v.values)
+        assert (pm.mask_u == (contact & (u.values <= v.values))).all()
+        assert (pm.mask_v == (contact & (v.values <= u.values))).all()
 
     def test_no_mass_below_the_obstacle(self, grid, theta_one):
         # the envelope's measure lives on the contact set only
         u = field_from_function(grid, lambda x, y: 0.05 * np.cos(2 * np.pi * x))
         v = field_from_function(grid, lambda x, y: 0.05 * np.sin(2 * np.pi * (x + y)) - 0.01)
         pm = pmin_compose(theta_one, u, v)
-        obstacle = np.minimum(u.values, v.values)
-        below = pm.phi.values < obstacle - pm.contact_tol
+        below = ~(pm.mask_u | pm.mask_v)
         ma = ma_density(theta_one, pm.phi).values
         stray = GridField(grid, np.where(below, np.abs(ma), 0.0))
         assert integrate(stray) < 1e-7
