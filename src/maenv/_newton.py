@@ -14,15 +14,15 @@ identically zero (full-grid case) or a Dirichlet mask pins the constant mode
 (local case).  A backtracking line search on the squared residual norm keeps
 the iteration inside the monotone basin.
 
-Linear solves: every Newton matrix of an n x n grid is written into one
-sparse pattern, that of -C, built once per n and cached with its diagonal
-positions; a step copies the pattern's data and adds its weights on the
-diagonal.  The residual applies the same cached -C, and the obstacle
-solver's free-set solves restrict it to their free sites.  The first Newton matrix of a call is factored once by sparse
-LU (minimum-degree ordering on A^T + A, which suits the symmetric pattern;
-no relaxed supernodes and panels of 10 columns, which on the five-point
-pattern make a factorization about 40% and a solve 15-20% cheaper than
-SuperLU's defaults, with the same ordering, pivots and fill).
+Linear solves: -C is built once per n and cached with its diagonal
+positions; the residual applies it, the obstacle solver's free-set solves
+restrict it, and every Newton matrix is written into its pattern: a step
+copies its data and adds the weights on the diagonal.  The first Newton
+matrix of a call is factored once by sparse LU (minimum-degree ordering on
+A^T + A, which suits the symmetric pattern; no relaxed supernodes and
+panels of 10 columns, which on the five-point pattern make a factorization
+about 40% and a solve 15-20% cheaper than SuperLU's defaults, with the same
+ordering, pivots and fill).
 Each later step solves its own matrix by conjugate gradients preconditioned
 with that factorization, a lagged-Jacobian preconditioner: the matrices of
 consecutive steps differ only in the diagonal.  If CG does not reach the
@@ -135,10 +135,8 @@ def _curvature_operators(n):
 
     Returns ``(neg, diag)``: ``neg`` is -laplacian_matrix(n) / (2 pi) in
     CSR with sorted indices, and ``diag`` the positions of its diagonal in
-    ``neg.data``.  It is the Newton residual's operator, the pattern of
-    every Newton matrix and, restricted to the free sites, the operator of
-    the obstacle solver's free-set solves.  Every call at size n shares
-    them, so their arrays are read-only.
+    ``neg.data``.  Every Newton and free-set solve at size n shares them,
+    so their arrays are read-only.
     """
     neg = -(laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
     diag = _diagonal_positions(neg)

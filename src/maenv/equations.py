@@ -80,11 +80,7 @@ def solve_ma_exponential(
 
 @dataclass
 class PminResult:
-    """P(min(u,v)) together with the partition-defect certificate.
-
-    ``mask_u`` and ``mask_v`` are the exact contact set phi == min(u, v)
-    where u <= v and where v <= u respectively.
-    """
+    """P(min(u,v)), its exact contact masks and the partition-defect certificate."""
 
     phi: GridField
     mask_u: np.ndarray
@@ -101,12 +97,11 @@ def pmin_compose(
 ) -> PminResult:
     """Envelope of min(u, v) and the defect of the partition inequality.
 
-    The defect is ma(phi) - [1_{phi=u} ma(u) + 1_{phi=v} ma(v)] with the
-    exact contact masks: the solution's contact set phi == min(u, v),
-    split into the sites where u <= v and those where v <= u (both where
-    u == v).  Its maximum ``max_defect`` is at solver scale for admissible
-    u, v, while its L1 norm ``l1_defect`` shrinks linearly with the grid
-    spacing (the detachment ring carries O(h) mass).
+    The defect is ma(phi) - [1_{phi=u} ma(u) + 1_{phi=v} ma(v)], with the
+    exact contact set phi == min(u, v) split by u <= v and v <= u; its
+    maximum ``max_defect`` is at solver scale for admissible u, v, while
+    its L1 norm ``l1_defect`` shrinks linearly with the grid spacing (the
+    detachment ring carries O(h) mass).
     """
     grid = theta.grid
     obstacle = GridField(grid, np.minimum(u.values, v.values))

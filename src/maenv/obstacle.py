@@ -263,14 +263,14 @@ def _free_set_solve(u, theta, h, free):
     """Solve theta + curvature(u) = 0 on the free sites, u fixed elsewhere.
 
     Conjugate gradients on the free sites' correction, with the free-set
-    block of the Newton layer's cached -C (:func:`_curvature_operators`)
-    as the operator.  When the free set holds at least
-    ``_FFT_MIN_FREE`` of the sites, CG is preconditioned by the periodic
-    inverse of -curvature (an FFT division) restricted to the free set;
-    on a smaller free set, thin strips between contact regions, the
-    Dirichlet data already bound the condition number and plain CG needs
-    fewer operations.  ``free`` flags the free sites of the flattened grid.
-    Returns the new field and the number of CG iterations.
+    block of the cached -C of :func:`_curvature_operators` as the operator.
+    When the free set holds at least ``_FFT_MIN_FREE`` of the sites, CG is
+    preconditioned by the periodic inverse of -curvature (an FFT division)
+    restricted to the free set; on a smaller free set, thin strips between
+    contact regions, the Dirichlet data already bound the condition number
+    and plain CG needs fewer operations.  ``free`` flags the free sites of
+    the flattened grid.  Returns the new field and the number of CG
+    iterations.
     """
     n = u.shape[0]
     idx = np.flatnonzero(free)

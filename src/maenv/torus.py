@@ -262,9 +262,8 @@ def laplacian_matrix(n: int) -> sp.csc_matrix:
     Acts on row-major flattened (N*N,) vectors; ``laplacian_matrix(n) @ u.ravel()``
     equals ``(2*pi * curvature_values(u, h)).ravel()`` up to rounding.  Row k
     holds the sorted columns of k and its :func:`neighbor_table` row; the
-    matrix is symmetric, so these are also its CSC arrays.  The Newton
-    layer builds its cached -C from it once per n; the cached matrix's
-    arrays are read-only.
+    matrix is symmetric, so these are also its CSC arrays.  It is cached,
+    with read-only arrays, and the Newton layer builds its -C from it.
     """
     site = np.arange(n * n, dtype=np.int32)[:, None]
     cols = np.concatenate([neighbor_table(n), site], axis=1)

@@ -340,8 +340,8 @@ class TestNewtonMatchesDirectReference:
 def test_newton_matrix_equals_the_assembled_sum(n):
     # each step writes diag(w) - C into the cached pattern of -C; it must
     # be the sparse sum bit for bit, on the full grid and on a free set.
-    # The free-set solves restrict the same -C; it must equal the scaled
-    # block of the Laplacian that they once built on every step.
+    # The free-set solves restrict the same -C: it must equal the
+    # Laplacian's free block times -1/(2 pi), entry for entry.
     rng = np.random.default_rng(n)
     cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
     w = rng.exponential(size=n * n) * 10.0 ** rng.uniform(-3.0, 6.0, n * n)
