@@ -10,7 +10,7 @@ into the output directory.  ``verify-all`` runs every ``*.cfg`` in a
 directory, one worker process per config up to the number of CPUs, and
 prints a pass/fail matrix.  Exit status: 0 when all checks pass, 1 when a
 scenario check fails, 2 on configuration errors (an output directory that
-cannot be created is one).
+cannot be created, or an output file that cannot be written, is one).
 
 The environment variable ``MAENV_SEED`` overrides the config seed for
 ``run`` (useful for re-rolling randomized scenarios without editing files).

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleMask, NonConvergence, NoSubsolution, OrderViolation
-from .obstacle import _free_set_solve, psor_envelope
+from .obstacle import _PSOR_TOL, _free_set_solve, psor_envelope
 from .torus import (
     GridField,
     ThetaDensity,
@@ -47,9 +47,9 @@ __all__ = [
     "cap_convergence_metric",
 ]
 
-def extremal_field(theta: ThetaDensity, psor_tol: float = 1e-9) -> GridField:
+def extremal_field(theta: ThetaDensity) -> GridField:
     """V_theta: the envelope of the zero obstacle (minimal-singularity potential)."""
-    return psor_envelope(theta, constant_field(theta.grid, 0.0), tol=psor_tol).u
+    return psor_envelope(theta, constant_field(theta.grid, 0.0)).u
 
 
 def energy_Ip(theta: ThetaDensity, u: GridField, v: GridField, p: float) -> float:
@@ -113,7 +113,7 @@ def _mask_array(grid, e_mask) -> np.ndarray:
     return mask
 
 
-def _capacity(theta, mask, low, high, mode, psor_tol):
+def _capacity(theta, mask, low, high, mode):
     """Ma-mass on the mask of the envelope of low on the mask and high off it.
 
     This is the relative extremal witness; ``mode='exact'`` also certifies
@@ -123,14 +123,14 @@ def _capacity(theta, mask, low, high, mode, psor_tol):
     if mode not in ("exact", "lower_bound"):
         raise ValueError(f"unknown capacity mode {mode!r}")
     obstacle = GridField(grid, np.where(mask, low, high))
-    solution = psor_envelope(theta, obstacle, tol=psor_tol)
+    solution = psor_envelope(theta, obstacle)
     value = float((ma_density(theta, solution.u).values * mask).sum()) * grid.h**2
     if mode == "lower_bound":
         return CapacityResult(value, solution.u)
-    return _exact_capacity(theta, mask, low, high, solution, value, psor_tol)
+    return _exact_capacity(theta, mask, low, high, solution, value)
 
 
-def _exact_capacity(theta, mask, low, high, solution, value, psor_tol):
+def _exact_capacity(theta, mask, low, high, solution, value):
     """Certify ``value`` as the optimum of the capacity linear program.
 
     The program maximizes the ma-mass on the mask E over low <= u <= high,
@@ -158,13 +158,14 @@ def _exact_capacity(theta, mask, low, high, solution, value, psor_tol):
 
     The exact mode therefore needs an admissible lower bound: when low is
     theta-psh, w >= low and w is feasible.  Raises :class:`NoSubsolution`
-    when w < low - psor_tol somewhere, and :class:`NonConvergence` (the gap
-    as ``residual``) when the gap exceeds psor_tol.
+    when w < low - _PSOR_TOL somewhere, and :class:`NonConvergence` (the
+    gap as ``residual``) when the gap exceeds the envelope tolerance
+    ``_PSOR_TOL``.
     """
     grid = theta.grid
     w = solution.u.values
     shortfall = float((low - w).max())
-    if shortfall > psor_tol:
+    if shortfall > _PSOR_TOL:
         raise NoSubsolution(
             f"the envelope falls {shortfall:.3e} below the lower bound; "
             "exact capacity needs a theta-psh lower bound"
@@ -182,9 +183,9 @@ def _exact_capacity(theta, mask, low, high, solution, value, psor_tol):
         + float(((q - ind) * th).sum())
     )
     result = CapacityResult(value, solution.u, dual - value)
-    if not abs(result.gap) <= psor_tol:
+    if not abs(result.gap) <= _PSOR_TOL:
         raise NonConvergence(
-            f"capacity duality gap {result.gap:.3e} exceeds {psor_tol:.1e}",
+            f"capacity duality gap {result.gap:.3e} exceeds {_PSOR_TOL:.1e}",
             best=result,
             residual=result.gap,
         )
@@ -196,22 +197,21 @@ def capacity(
     e_mask: np.ndarray,
     mode: str = "exact",
     v_theta: GridField | None = None,
-    psor_tol: float = 1e-9,
 ) -> CapacityResult:
     """Capacity of a grid set: sup of ma-mass on it over V-1 <= u <= V.
 
     Both modes evaluate the envelope of V - 1_E, the relative extremal
     witness.  ``mode='exact'`` also certifies it as the linear program's
-    optimum by a duality gap at most ``psor_tol``, kept in the result's
+    optimum by a duality gap at most the envelope tolerance, kept in the result's
     ``gap``; ``mode='lower_bound'`` certifies nothing.
     """
     grid = theta.grid
     mask = _mask_array(grid, e_mask)
     if v_theta is None:
-        v_theta = extremal_field(theta, psor_tol)
+        v_theta = extremal_field(theta)
     if not mask.any():
         return CapacityResult(0.0, v_theta)
-    return _capacity(theta, mask, v_theta.values - 1.0, v_theta.values, mode, psor_tol)
+    return _capacity(theta, mask, v_theta.values - 1.0, v_theta.values, mode)
 
 
 def generalized_capacity(
@@ -220,7 +220,6 @@ def generalized_capacity(
     psi_high: GridField,
     e_mask: np.ndarray,
     mode: str = "exact",
-    psor_tol: float = 1e-9,
 ) -> CapacityResult:
     """Capacity with arbitrary pointwise bounds phi_low <= u <= psi_high.
 
@@ -235,7 +234,7 @@ def generalized_capacity(
         raise OrderViolation("lower bound exceeds upper bound somewhere")
     if not mask.any():
         return CapacityResult(0.0, psi_high)
-    return _capacity(theta, mask, phi_low.values, psi_high.values, mode, psor_tol)
+    return _capacity(theta, mask, phi_low.values, psi_high.values, mode)
 
 
 def cap_convergence_metric(
@@ -243,7 +242,6 @@ def cap_convergence_metric(
     u_seq,
     u: GridField,
     eps: float,
-    psor_tol: float = 1e-9,
 ) -> list:
     """Capacity (lower-bound mode) of {|u_j - u| > eps} for each member.
 
@@ -252,14 +250,12 @@ def cap_convergence_metric(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    v_theta = extremal_field(theta, psor_tol)
+    v_theta = extremal_field(theta)
     out = []
     for uj in u_seq:
         mask = np.abs(uj.values - u.values) > eps
         if not mask.any():
             out.append(0.0)
         else:
-            out.append(
-                capacity(theta, mask, "lower_bound", v_theta, psor_tol).value
-            )
+            out.append(capacity(theta, mask, "lower_bound", v_theta).value)
     return out

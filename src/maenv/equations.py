@@ -45,12 +45,13 @@ __all__ = [
     "perron_solve",
 ]
 
+_EQUATION_TOL = 1e-6  # two-sided equation residual at which perron_solve stops
+
 
 def solve_ma_exponential(
     theta: ThetaDensity,
     mu: MeasureDensity,
     beta: float = 1.0,
-    tol: float = 1e-10,
 ):
     """Solve theta + curvature(phi) = exp(beta*phi) * mu by damped Newton.
 
@@ -64,12 +65,7 @@ def solve_ma_exponential(
     c = np.log(theta.total_mass / mu.total_mass) / beta
     u0 = np.full((grid.n, grid.n), c)
     zero = np.zeros((grid.n, grid.n))
-    phi, report = newton_semilinear(
-        theta.density.values,
-        [(float(beta), zero, mu.density.values)],
-        u0,
-        tol=tol,
-    )
+    phi, report = newton_semilinear(theta.density.values, [(float(beta), zero, mu.density.values)], u0)
     return GridField(grid, phi), report
 
 
@@ -93,7 +89,6 @@ def pmin_compose(
     theta: ThetaDensity,
     u: GridField,
     v: GridField,
-    psor_tol: float = 1e-10,
 ) -> PminResult:
     """Envelope of min(u, v) and the defect of the partition inequality.
 
@@ -105,7 +100,7 @@ def pmin_compose(
     """
     grid = theta.grid
     obstacle = GridField(grid, np.minimum(u.values, v.values))
-    sol = psor_envelope(theta, obstacle, tol=psor_tol)
+    sol = psor_envelope(theta, obstacle)
     phi = sol.u
     mask_u = sol.contact_mask & (u.values <= v.values)
     mask_v = sol.contact_mask & (v.values <= u.values)
@@ -157,8 +152,6 @@ def perron_solve(
     mu: MeasureDensity,
     members: list,
     u0: GridField,
-    equation_tol: float = 1e-6,
-    psor_tol: float = 1e-10,
 ):
     """Descend to the equation's solution by folding supersolutions.
 
@@ -169,7 +162,7 @@ def perron_solve(
     psi is folded in as P(min(current, psi)); the partition inequality keeps
     every fold a supersolution, and the subsolution u0 bounds the descent
     from below.  The iteration stops once the two-sided equation residual
-    drops under ``equation_tol``; running out of members first raises
+    drops under ``_EQUATION_TOL`` (1e-6); running out of members first raises
     :class:`FamilyExhausted` with the residual gap and the best fold.
 
     Returns ``(GridField, [PerronRound])``.
@@ -196,14 +189,14 @@ def perron_solve(
             current = psi
             gap = float("inf")
         else:
-            folded = pmin_compose(theta, current, psi, psor_tol=psor_tol).phi
+            folded = pmin_compose(theta, current, psi).phi
             gap = float(np.abs(folded.values - current.values).max())
             current = folded
         defect = equation_defect(theta, current, mu.density.values)
         res_super = float(defect.max())
         res_eq = float(np.abs(defect).max())
         history.append(PerronRound(k, gap, res_super, res_eq))
-        if res_eq <= equation_tol:
+        if res_eq <= _EQUATION_TOL:
             return current, history
     raise FamilyExhausted(
         f"folded {len(history)} members, equation residual {history[-1].equation_residual:.3e}",

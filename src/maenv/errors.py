@@ -59,7 +59,7 @@ class InputNotSupersolution(MaenvError):
 
 
 class ConfigError(MaenvError):
-    """A scenario configuration file is malformed or fails validation."""
+    """A scenario configuration is malformed or invalid, or its output cannot be written."""
 
 
 class ScenarioFailure(MaenvError):

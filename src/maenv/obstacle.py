@@ -61,6 +61,7 @@ from .torus import (
     neighbor_table,
 )
 
+_PSOR_TOL = 1e-9  # natural residual every envelope is solved to
 _HANDOVER_TOL = 1e-2  # PSOR residual at which the active-set steps take over
 _ACTIVE_SET_STEPS = 8  # active-set steps before PSOR resumes
 _CG_RTOL = 1e-13  # relative residual of each free-set CG solve
@@ -329,7 +330,7 @@ def _active_set_finish(u, theta, hproj, mask, tol, history):
 def psor_envelope(
     theta: ThetaDensity,
     obstacle: GridField,
-    tol: float = 1e-9,
+    tol: float = _PSOR_TOL,
     max_iter: int = 200_000,
     constraint_mask: np.ndarray | None = None,
 ) -> ObstacleSolution:
@@ -399,7 +400,7 @@ def envelope_mu(
     theta: ThetaDensity,
     v: GridField,
     mu: MeasureDensity,
-    tol: float = 1e-9,
+    tol: float = _PSOR_TOL,
 ) -> ObstacleSolution:
     """Envelope of v with the constraint u <= v imposed only on supp(mu)."""
     return psor_envelope(theta, v, tol=tol, constraint_mask=mu.support_mask)
@@ -431,7 +432,6 @@ def penalized_step(
     mu: MeasureDensity,
     j: float,
     init: GridField | None = None,
-    tol: float = 1e-10,
 ):
     """Solve theta + curvature(phi) = exp(j*(phi - v)) * mu by damped Newton.
 
@@ -448,9 +448,7 @@ def penalized_step(
         u0 = 0.25 * (neighbor_sum(u0) + 2.0 * np.pi * grid.h**2 * th)
     else:
         u0 = init.values
-    phi, report = newton_semilinear(
-        th, [(float(j), v.values, mu.density.values)], u0, tol=tol
-    )
+    phi, report = newton_semilinear(th, [(float(j), v.values, mu.density.values)], u0)
     return GridField(grid, phi), report
 
 
@@ -472,8 +470,6 @@ def penalized_envelope(
     v: GridField,
     mu: MeasureDensity,
     schedule: PenalizationSchedule | None = None,
-    newton_tol: float = 1e-10,
-    psor_tol: float = 1e-10,
 ) -> PenalizedEnvelope:
     """Penalization schedule with predicted starts and per-step diagnostics.
 
@@ -484,18 +480,19 @@ def penalized_envelope(
         phi_k + (phi_k - phi_{k-1}) * (1/j_{k+1} - 1/j_k) / (1/j_k - 1/j_{k-1}),
 
     which is phi_k + (phi_k - phi_{k-1}) / 2 on the doubling schedule.  Newton
-    solves to the same tolerance from any start, so the iterates are those
+    solves to its own tolerance from any start, so the iterates are those
     of a plain warm start up to that tolerance.
 
     Each step reports the sup/L1 distance to the obstacle-problem oracle
-    (:func:`envelope_mu`, computed once) and the minimum slack of the lower
-    bound, whose fixed field solves theta + curvature(phi) = exp(phi)*mu.
+    (:func:`envelope_mu` at its default tolerance, computed once) and the
+    minimum slack of the lower bound, whose fixed field solves
+    theta + curvature(phi) = exp(phi)*mu.
     """
     from .equations import solve_ma_exponential  # local import, no cycle at call time
 
     schedule = schedule or PenalizationSchedule()
-    oracle = envelope_mu(theta, v, mu, tol=psor_tol)
-    phi_fixed, _ = solve_ma_exponential(theta, mu, beta=1.0, tol=newton_tol)
+    oracle = envelope_mu(theta, v, mu)
+    phi_fixed, _ = solve_ma_exponential(theta, mu, beta=1.0)
     inf_v = float(v.values.min())
 
     iterates, sups, l1s, slacks, reports = [], [], [], [], []
@@ -508,7 +505,7 @@ def penalized_envelope(
             a, b = iterates[-2].values, iterates[-1].values
             ratio = (1.0 / j - 1.0 / js[k - 1]) / (1.0 / js[k - 1] - 1.0 / js[k - 2])
             start = GridField(theta.grid, b + (b - a) * ratio)
-        current, rep = penalized_step(theta, v, mu, j, init=start, tol=newton_tol)
+        current, rep = penalized_step(theta, v, mu, j, init=start)
         iterates.append(current)
         d = current.values - oracle.u.values
         sups.append(float(np.abs(d).max()))

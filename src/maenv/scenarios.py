@@ -307,11 +307,6 @@ def _csv(header: str, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-# the PSOR tolerance every scenario passes to its envelope solves, also where
-# the library's default is 1e-10 (pmin_compose, perron_solve, penalized_envelope)
-_PSOR_TOL = 1e-9
-
-
 def _scn_radial_ball(p, seed):
     axis = TAxis(m=p["m"])
     h, h_lsc = ball_step_obstacle(axis)
@@ -370,11 +365,11 @@ def _scn_penalized_convergence(p, seed):
     v = _mixture_obstacle(grid, p)
     mu = MeasureDensity(constant_field(grid, 1.0))
     schedule = PenalizationSchedule(tuple(float(2**k) for k in range(p["j_max_log2"] + 1)))
-    run = penalized_envelope(theta, v, mu, schedule, newton_tol=1e-10, psor_tol=_PSOR_TOL)
+    run = penalized_envelope(theta, v, mu, schedule)
 
     final_tol = 1e-2 * (1.0 + float(np.abs(v.values).max()))
     cap_tol = 1e-3 * theta.total_mass
-    caps = cap_convergence_metric(theta, run.iterates, run.oracle.u, 1e-2, psor_tol=_PSOR_TOL)
+    caps = cap_convergence_metric(theta, run.iterates, run.oracle.u, 1e-2)
     checks = [
         Check("final_sup_distance", run.sup_dists[-1] <= final_tol, run.sup_dists[-1], final_tol),
         Check("lower_bound_min_slack", min(run.slacks) >= -1e-8, min(run.slacks), -1e-8),
@@ -402,7 +397,7 @@ def _scn_orthogonality(p, seed):
     rows, worst = [], 0.0
     for k in range(p["count"]):
         h = random_smooth_field(grid, rng, modes=3, amplitude=float(rng.uniform(0.2, 1.0)))
-        sol = psor_envelope(theta, h, tol=_PSOR_TOL)
+        sol = psor_envelope(theta, h)
         d = orthogonality_defect(theta, h, sol.u)
         worst = max(worst, abs(d))
         rows.append(("smooth", float(k), d))
@@ -411,7 +406,7 @@ def _scn_orthogonality(p, seed):
         g = TorusGrid(n)
         th = theta_cosine(g, 1.0)
         true_vals, lsc_vals = step_band(g, 0.25, 0.75, -1.0)
-        sol = psor_envelope(th, lsc_vals, tol=_PSOR_TOL)
+        sol = psor_envelope(th, lsc_vals)
         step_defects[n] = orthogonality_defect(th, true_vals, sol.u)
         rows.append(("step", float(n), step_defects[n]))
     ratio = step_defects[2 * p["n"]] / step_defects[p["n"]]
@@ -445,7 +440,7 @@ def _scn_min_principle(p, seed):
         max_defects, l1_defects = [], []
         for k in range(p["pairs"]):
             u, w = _crossing_pair(theta, pair_rng)
-            res = pmin_compose(theta, u, w, psor_tol=_PSOR_TOL)
+            res = pmin_compose(theta, u, w)
             max_defects.append(res.max_defect)
             l1_defects.append(res.l1_defect)
             rows.append((float(n), float(k), res.max_defect, res.l1_defect))
@@ -491,8 +486,8 @@ def _scn_perron(p, seed):
         supp = mu_vals > 0
         ratio_min = float((theta.density.values[supp] / mu_vals[supp]).min())
         u0 = constant_field(grid, float(np.log(ratio_min) - 0.1))
-        sol, hist = perron_solve(theta, mu, members, u0, equation_tol=1e-6, psor_tol=_PSOR_TOL)
-        sol_r, _ = perron_solve(theta, mu, members[::-1], u0, equation_tol=1e-6, psor_tol=_PSOR_TOL)
+        sol, hist = perron_solve(theta, mu, members, u0)
+        sol_r, _ = perron_solve(theta, mu, members[::-1], u0)
         gap = float(np.abs(sol.values - exact.values).max())
         shuffle = float(np.abs(sol.values - sol_r.values).max())
         checks.append(Check(f"gap[{tag}]", gap <= 1e-3, gap, 1e-3))
@@ -518,9 +513,7 @@ def _scn_viscosity_pipeline(p, seed):
         grid = TorusGrid(n)
         theta = theta_cosine(grid, 1.0)
         for datum in supersolution_corpus(grid):
-            res = supersolution_envelope_pipeline(
-                theta, datum.v, datum.f, visc_tol=datum.gate_tol, psor_tol=_PSOR_TOL
-            )
+            res = supersolution_envelope_pipeline(theta, datum.v, datum.f, visc_tol=datum.gate_tol)
             rows.append(
                 (datum.name, float(n), datum.gate_tol, -res.input_report.value,
                  res.checked_fraction, res.residual)
@@ -544,7 +537,7 @@ def _scn_extremal_contact(p, seed):
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, 1.0, p["theta_amp"])
     vol = theta.total_mass
-    sol = psor_envelope(theta, constant_field(grid, 0.0), tol=_PSOR_TOL)
+    sol = psor_envelope(theta, constant_field(grid, 0.0))
     vt = sol.u
     ma = ma_density(theta, vt).values
     flat = np.abs(vt.values) < 1e-6
@@ -581,7 +574,7 @@ def _scn_capacity_sandwich(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, 1.0)
-    vt = extremal_field(theta, _PSOR_TOL)
+    vt = extremal_field(theta)
     rows = []
     worst = 0.0
     for k, mask in enumerate(_sandwich_masks(grid, p["masks"], rng)):
@@ -697,6 +690,13 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
+def _write_output(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
     """Run one scenario, write its artifacts and manifest, return the manifest.
 
@@ -707,7 +707,8 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
     whose manifest lists no artifacts.  The manifest's ``reports`` list every
     solver report built during the run, failed ones included, in call order.
     An output directory that cannot be created raises :class:`ConfigError`
-    before the scenario runs.
+    before the scenario runs, and so does an artifact or manifest file that
+    cannot be written once it has run.
     """
     out = Path(out_dir)
     try:
@@ -730,7 +731,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
     hashes = {}
     for name, content in sorted(files.items()):
         data = content.encode() if isinstance(content, str) else content
-        (out / name).write_bytes(data)
+        _write_output(out / name, data)
         hashes[name] = hashlib.sha256(data).hexdigest()
 
     manifest = RunManifest(
@@ -742,7 +743,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunManifest:
         files=hashes,
         reports=[{k: v for k, v in vars(r).items() if k not in ("history", "damping")} for r in reports],
     )
-    (out / "manifest.json").write_text(manifest.to_json())
+    _write_output(out / "manifest.json", manifest.to_json().encode())
     if not manifest.passed:
         failed = [c.name for c in checks if not c.passed]
         cause = f"{type(error).__name__}: {error}; " if error is not None else ""

@@ -19,7 +19,6 @@ signed defect array, positive where the inequality is violated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -255,22 +254,18 @@ def neighbor_table(n: int) -> np.ndarray:
     return np.stack(rolled, axis=-1).reshape(n * n, 4)
 
 
-@lru_cache(maxsize=None)
 def laplacian_matrix(n: int) -> sp.csc_matrix:
     """Sparse matrix of the five-point periodic Laplacian scaled by 1/h^2.
 
     Acts on row-major flattened (N*N,) vectors; ``laplacian_matrix(n) @ u.ravel()``
     equals ``(2*pi * curvature_values(u, h)).ravel()`` up to rounding.  Row k
     holds the sorted columns of k and its :func:`neighbor_table` row; the
-    matrix is symmetric, so these are also its CSC arrays.  It is cached,
-    with read-only arrays, and the Newton layer builds its -C from it.
+    matrix is symmetric, so these are also its CSC arrays.  The Newton
+    layer builds its cached -C from it.
     """
     site = np.arange(n * n, dtype=np.int32)[:, None]
     cols = np.concatenate([neighbor_table(n), site], axis=1)
     cols.sort(axis=1)
     data = np.where(cols == site, -4.0, 1.0) / (1.0 / n) ** 2
     indptr = np.arange(0, cols.size + 1, 5, dtype=np.int32)
-    lap = sp.csc_matrix((data.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))
-    for arr in (lap.data, lap.indices, lap.indptr):
-        arr.flags.writeable = False
-    return lap
+    return sp.csc_matrix((data.ravel(), cols.ravel(), indptr), shape=(n * n, n * n))

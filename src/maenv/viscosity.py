@@ -88,7 +88,6 @@ def supersolution_envelope_pipeline(
     v: GridField,
     f: GridField,
     visc_tol: float = 1e-8,
-    psor_tol: float = 1e-9,
 ) -> PipelineResult:
     """Envelope a viscosity supersolution and report its equation residual.
 
@@ -106,7 +105,7 @@ def supersolution_envelope_pipeline(
             f"at site {report.site}",
             report=report,
         )
-    sol = psor_envelope(theta, v, tol=psor_tol)
+    sol = psor_envelope(theta, v)
     residual = float(equation_defect(theta, sol.u, f.values).max())
     return PipelineResult(residual, report, checked_fraction, sol)
 

@@ -344,7 +344,7 @@ def spectral_exponential_1d(mu_1d, beta=1.0, tol=1e-8, max_iter=60):
     raise RuntimeError("Fourier-Newton iteration did not converge")
 
 
-def capacity_subset_ascent(theta, mask, seeds=10, sample=40, psor_tol=1e-9):
+def capacity_subset_ascent(theta, mask, seeds=10, sample=40):
     """Multi-start greedy ascent for the capacity maximization, climbing over
     the family of feasible candidates u(S) = P(V - 1_S) indexed by subsets
     S of the target set.
@@ -360,11 +360,11 @@ def capacity_subset_ascent(theta, mask, seeds=10, sample=40, psor_tol=1e-9):
     from maenv.torus import GridField, ma_density
 
     mask = np.asarray(mask, dtype=bool)
-    vt = extremal_field(theta, psor_tol)
+    vt = extremal_field(theta)
 
     def value_of(subset):
         obstacle = GridField(theta.grid, np.where(subset, vt.values - 1.0, vt.values))
-        witness = psor_envelope(theta, obstacle, tol=psor_tol).u
+        witness = psor_envelope(theta, obstacle).u
         return float((ma_density(theta, witness).values * mask).sum()) * theta.grid.h**2
 
     finals = []

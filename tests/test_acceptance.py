@@ -80,7 +80,7 @@ def test_criterion_03_divergence_off_measure_support():
     supp = ~((x >= 0.25) & (x <= 0.75))
     mu = MeasureDensity(GridField(grid, supp.astype(float)))
     schedule = PenalizationSchedule(tuple(float(2**k) for k in range(15)))
-    run = penalized_envelope(theta, lsc, mu, schedule, psor_tol=1e-9)
+    run = penalized_envelope(theta, lsc, mu, schedule)
     final = run.iterates[-1]
     plain = psor_envelope(theta, lsc, tol=1e-9).u
     elapsed = time.perf_counter() - start

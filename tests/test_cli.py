@@ -410,6 +410,17 @@ class TestCliRun:
         assert "config error" in err and str(out) in err
         assert blocker.read_text() == ""
 
+    def test_unwritable_manifest_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "local.cfg"
+        cfg_file.write_text(smoke_text("local-envelopes"))
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        rc = main(["run", "local-envelopes", "--config", str(cfg_file), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {out / 'manifest.json'}" in err
+        assert "Traceback" not in err
+
     def test_bad_seed_override_exits_two(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "qt.cfg"
         cfg_file.write_text(smoke_text("quasi-triangle"))
@@ -526,6 +537,18 @@ class TestVerifyAll:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert blocker.read_text() == ""
+
+    def test_unwritable_artifact_exits_two(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        (cfg_dir / "local-envelopes.cfg").write_text(smoke_text("local-envelopes"))
+        artifact = tmp_path / "out" / "local-envelopes" / "local_envelopes.csv"
+        artifact.mkdir(parents=True)
+        rc = main(["verify-all", str(cfg_dir), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {artifact}" in err
+        assert "Traceback" not in err
 
     def test_worker_runs_match_in_process_runs(self, tmp_path):
         cfg_dir = tmp_path / "configs"

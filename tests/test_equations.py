@@ -189,7 +189,7 @@ class TestPerron:
             members.append(psi)
         ratio_min = float((1.0 / mu_vals.values).min())
         u0 = constant_field(g, float(np.log(ratio_min) - 0.1))
-        out, history = perron_solve(th, mu, members, u0, equation_tol=1e-6)
+        out, history = perron_solve(th, mu, members, u0)
         direct, _ = solve_ma_exponential(th, mu, beta=1.0)
         assert np.abs(out.values - direct.values).max() < 1e-3
         for member in members:

@@ -224,13 +224,6 @@ class TestNeighborTable:
             assert np.array_equal(getattr(lap, name), getattr(ref, name))
             assert getattr(lap, name).dtype == getattr(ref, name).dtype
 
-    def test_cached_laplacian_matrix_is_read_only(self):
-        lap = laplacian_matrix(16)
-        for name in ("data", "indices", "indptr"):
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(lap, name)[0] *= 2
-        assert np.array_equal(lap.data, laplacian_matrix_reference(16).data)
-
     @pytest.mark.parametrize("n", [8, 64])
     def test_stencil_max_matches_roll_maxima(self, n):
         rng = np.random.default_rng(n)
