@@ -202,8 +202,8 @@ def capacity(
 
     Both modes evaluate the envelope of V - 1_E, the relative extremal
     witness.  ``mode='exact'`` also certifies it as the linear program's
-    optimum by a duality gap at most the envelope tolerance, kept in the result's
-    ``gap``; ``mode='lower_bound'`` certifies nothing.
+    optimum by a duality gap at most the envelope tolerance ``_PSOR_TOL``,
+    kept in the result's ``gap``; ``mode='lower_bound'`` certifies nothing.
     """
     grid = theta.grid
     mask = _mask_array(grid, e_mask)
