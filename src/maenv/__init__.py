@@ -67,6 +67,7 @@ from .obstacle import (
     penalized_envelope,
     penalized_step,
     psor_envelope,
+    psor_envelopes,
 )
 from .equations import (
     PerronRound,

@@ -14,15 +14,18 @@ Two independent routes to the same envelope:
   half grid, solved the same way and prolonged bilinearly, then smoothed
   by Gauss-Seidel sweeps before the optimal relaxation factor takes over;
   where the half grid cannot help, they start from the constant min(h).
-  The sweep stores each colour's sites as one contiguous vector and
-  gathers a colour's neighbour sums from the other colour by one sparse
-  product.  Once the natural residual is below ``_HANDOVER_TOL`` the
+  :func:`psor_envelopes` sweeps several obstacles on one grid as one
+  stack: the sweep stores each colour of every stacked problem as a column
+  of one array, so one sparse product gathers the neighbour sums of all of
+  them, and a problem leaves the stack at the first residual check it
+  passes.  Once the natural residual is below ``_HANDOVER_TOL`` the
   sweeps stop and primal-dual active-set steps (Hintermueller, Ito &
   Kunisch, SIAM J. Optim. 13, 2003) finish the solve: each fixes u = h on
   a contact set and solves the equation on the free sites by conjugate
   gradients, preconditioned by an FFT division by the stencil's Fourier
   symbol when the free set is large.  If no step certifies the tolerance,
-  the sweeps resume.
+  the sweeps resume.  The active-set steps and resumed sweeps take one
+  problem at a time.
 
 * :func:`penalized_step` solves the smooth penalized equation
 
@@ -81,6 +84,7 @@ __all__ = [
     "PenalizedEnvelope",
     "SolverReport",
     "psor_envelope",
+    "psor_envelopes",
     "envelope_mu",
     "penalized_step",
     "penalized_envelope",
@@ -106,12 +110,17 @@ class ObstacleSolution:
 
 
 def _natural_residual(u, hproj, theta, h):
+    """Sup norm of min(hproj - u, theta + curvature(u)) over the grid axes.
+
+    A float for one grid (n, n); for a stack (n, n, k), the list of the k
+    problems' norms.
+    """
     w = curvature_values(u, h)
     w += theta
     gap = hproj - u
     np.minimum(gap, w, out=gap)
     np.abs(gap, out=gap)
-    return float(gap.max())
+    return gap.max(axis=(0, 1)).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -144,64 +153,105 @@ def _colour_split(n):
 
 
 def _psor_values(theta, hproj, tol, max_iter, init, smooth=False):
-    """Red-black projected SOR on the iterate stored as two colour vectors.
+    """Red-black projected SOR on a stack of problems stored as colour columns.
 
-    Each colour's n^2/2 sites form one contiguous vector, and a half-sweep
-    gathers a colour's neighbour sums from the other colour's vector by one
-    sparse product, then relaxes the colour in place.  A colour's neighbours
-    all have the other colour, so this is the same Jacobi step per colour as
-    relaxing the whole grid and keeping that colour; the sparse product adds
-    each row's entries from 0.0 in the order i-1, i+1, j-1, j+1, so every
-    floating-point operation happens in the same order as in the whole-grid
-    sweep.  The relaxation factor is the optimal one for the periodic
-    Laplacian, 2 / (1 + sin(pi h)); with ``smooth`` the sweeps before the
-    first residual check run at 1 (projected Gauss-Seidel) instead.  The
-    start ``init`` is clamped by min(init, hproj).
+    ``hproj`` is one obstacle (n, n) or a stack (n, n, k) of obstacles that
+    share ``theta``; ``init``, a start field shaped like ``hproj`` or one
+    constant per problem, is clamped by min(init, hproj).  The iterate is
+    stored as an array (2, n^2/2, k): each colour's sites in row-major
+    order, one column per problem.  A half-sweep gathers a colour's
+    neighbour sums from the other colour for every problem by one sparse
+    product with the k columns, then relaxes the colour in place.  A colour's neighbours all have the other colour,
+    so this is the same Jacobi step per colour as relaxing the whole grid
+    and keeping that colour; the sparse product adds each row's entries
+    from 0.0 in the order i-1, i+1, j-1, j+1 in every column, and the rest
+    is elementwise, so every floating-point operation happens in the same
+    order as in the whole-grid sweep of each problem alone.  A stack of
+    one is swept as plain vectors.  The relaxation factor is the optimal
+    one for the periodic Laplacian, 2 / (1 + sin(pi h)); with ``smooth``
+    the sweeps before the first residual check run at 1 (projected
+    Gauss-Seidel) instead.  Every 8 sweeps the natural residual is taken on
+    the whole stack, and each problem at most ``tol`` leaves it with its
+    field.  Returns ``(u, sweeps, residual, history, converged)`` for one
+    obstacle and the list of these, in stack order, for a stack.
     """
     n = theta.shape[0]
+    stack = hproj.reshape(n, n, -1)
+    k = stack.shape[2]
     h = 1.0 / n
     omega_opt = 2.0 / (1.0 + np.sin(np.pi * h))
 
     order, nbr = _colour_split(n)
-    x = init.ravel()[order]
+    hp = np.take(stack.reshape(n * n, k), order, axis=0)
+    x = np.asarray(init, dtype=float)
+    if x.ndim >= 2:  # a start field per problem, else a constant per problem
+        x = np.take(x.reshape(n * n, -1), order, axis=0)
+    x = np.minimum(x, hp)
     ct = theta.ravel()[order]
-    hp = hproj.ravel()[order]
     ct *= 2.0 * np.pi * h * h
-    np.minimum(x, hp, out=x)
-    u = np.empty((n, n))
+    ct = ct[..., None]
+    live = list(range(k))
+    histories = [[] for _ in live]
+    results = [None] * k
+
+    def views():
+        # colour columns, obstacles and theta; a stack of one as plain grids
+        # and vectors, the fast case of the sparse product and the residual
+        if len(live) == 1:
+            return x[..., 0], hp[..., 0], ct[..., 0], stack[..., 0], theta
+        return x, hp, ct, stack, theta[..., None]
 
     def residual():
-        u.ravel()[order] = x
-        return _natural_residual(u, hproj, theta, h)
+        u = np.empty(hg.shape)
+        u.reshape(n * n, *hg.shape[2:])[order] = xs
+        res = _natural_residual(u, hg, tg, h)
+        res = res if u.ndim == 3 else [res]
+        for i, r in zip(live, res):
+            histories[i].append(r)
+        return u.reshape(n, n, -1), res
 
-    history = []
+    xs, hs, cs, hg, tg = views()
     sweeps = 0
     check_every = 8
     while sweeps < max_iter:
         omega = 1.0 if smooth and sweeps < check_every else omega_opt
         for c in (0, 1):
-            s = nbr[c] @ x[1 - c]
-            s += ct[c]
+            s = nbr[c] @ xs[1 - c]
+            s += cs[c]
             s *= 0.25
-            s -= x[c]
+            s -= xs[c]
             s *= omega
-            s += x[c]
-            np.minimum(s, hp[c], out=x[c])
+            s += xs[c]
+            np.minimum(s, hs[c], out=xs[c])
+            # one product buffer alive at a time: malloc reuses its pages,
+            # where a stack-wide product allocated while the last is alive
+            # gets fresh ones, page-faulted in on every half-sweep
+            del s
         sweeps += 1
         if sweeps % check_every == 0 or sweeps == max_iter:
-            res = residual()
-            history.append(res)
-            if res <= tol:
-                return u, sweeps, res, history, True
-    res = residual()
-    history.append(res)
-    return u, sweeps, res, history, False
+            u, res = residual()
+            keep = [r > tol for r in res]
+            if all(keep):
+                continue
+            for j, i in enumerate(live):
+                if not keep[j]:
+                    results[i] = (u[..., j].copy(), sweeps, res[j], histories[i], True)
+            if not any(keep):
+                break
+            live = [i for i, more in zip(live, keep) if more]
+            x, hp, stack = (a.compress(keep, axis=-1) for a in (x, hp, stack))
+            xs, hs, cs, hg, tg = views()
+    else:
+        u, res = residual()
+        for j, i in enumerate(live):
+            results[i] = (u[..., j].copy(), sweeps, res[j], histories[i], False)
+    return results if hproj.ndim == 3 else results[0]
 
 
 def _prolong(uc):
-    """Periodic bilinear interpolation onto the doubled grid."""
+    """Periodic bilinear interpolation onto the doubled grid (axes 0 and 1)."""
     n = uc.shape[0]
-    uf = np.empty((2 * n, 2 * n))
+    uf = np.empty((2 * n, 2 * n, *uc.shape[2:]))
     right = np.roll(uc, -1, axis=0)
     down = np.roll(uc, -1, axis=1)
     uf[0::2, 0::2] = uc
@@ -212,34 +262,50 @@ def _prolong(uc):
 
 
 def _nested_sweeps(theta, hproj, mask, tol, max_iter):
-    """Sweeps to the residual tol, started from the solution on the n/2 grid.
+    """Sweeps of a stack of problems to the residual tol, started on the n/2 grid.
 
-    Nested iteration (Brandt & Cryer, SIAM J. Sci. Stat. Comput. 4, 1983):
-    theta, the obstacle and the mask are injected onto the even
-    sub-lattice, that problem is swept to tol the same way (recursively),
-    and its solution is prolonged bilinearly.  The sweeps before the first
-    residual check then run at omega = 1: Gauss-Seidel damps the
-    interpolation error within a few sweeps, where the optimal factor takes
-    as many sweeps as from a constant start.  The coarse grid is used when n
-    is even and at least ``_COARSE_MIN_N``, the sub-lattice holds a
-    constrained site and the injected theta has positive mass; a coarse
-    level that misses its budget of ``_COARSE_BUDGET`` sweeps per grid line
-    is dropped.  Otherwise the sweeps start from the constant min(h).
-    Returns what :func:`_psor_values` returns, then the sweeps spent on all
-    coarse levels.
+    ``hproj`` and ``mask`` are stacks (n, n, k) of problems sharing
+    ``theta``.  Nested iteration (Brandt & Cryer, SIAM J. Sci. Stat.
+    Comput. 4, 1983): theta, the obstacles and the masks are injected onto
+    the even sub-lattice, those problems are swept to tol as one stack the
+    same way (recursively), and each solution is prolonged bilinearly.  The
+    sweeps before the first residual check then run at omega = 1:
+    Gauss-Seidel damps the interpolation error within a few sweeps, where
+    the optimal factor takes as many sweeps as from a constant start.  The
+    coarse grid is used when n is a multiple of 4 (so that the n/2 grid
+    has a red-black colouring) and at least ``_COARSE_MIN_N`` and the
+    injected theta has positive mass, by each problem whose sub-lattice
+    holds a constrained site; a problem whose coarse level misses its
+    budget of ``_COARSE_BUDGET`` sweeps per grid line drops it.  The
+    problems without a coarse start sweep from their constant min(h), as a
+    stack of their own.  Returns, per problem and in stack order, what
+    :func:`_psor_values` returns, then the sweeps spent on all its coarse
+    levels.
     """
-    n = theta.shape[0]
-    thc, hc, mc = theta[::2, ::2], hproj[::2, ::2], mask[::2, ::2]
-    start, spent = None, 0
-    if n % 2 == 0 and n >= _COARSE_MIN_N and mc.any() and thc.sum() > 0.0:
-        uc, sweeps, _, _, ok, spent = _nested_sweeps(thc, hc, mc, tol, _COARSE_BUDGET * (n // 2))
-        spent += sweeps
-        if ok:
-            start = _prolong(uc)
-    smooth = start is not None
-    if not smooth:
-        start = np.broadcast_to(float(hproj[mask].min()), hproj.shape)
-    return (*_psor_values(theta, hproj, tol, max_iter, start, smooth), spent)
+    n, k = hproj.shape[0], hproj.shape[2]
+    thc, mc = theta[::2, ::2], mask[::2, ::2]
+    starts, spent = [None] * k, [0] * k
+    coarse = np.flatnonzero(mc.any(axis=(0, 1)))
+    if n % 4 == 0 and n >= _COARSE_MIN_N and thc.sum() > 0.0 and coarse.size:
+        levels = _nested_sweeps(thc, hproj[::2, ::2, coarse], mc[..., coarse], tol, _COARSE_BUDGET * (n // 2))
+        for i, (uc, sweeps, _, _, ok, deeper) in zip(coarse, levels):
+            spent[i] = deeper + sweeps
+            if ok:
+                starts[i] = uc
+    results = [None] * k
+    prolonged = [i for i in range(k) if starts[i] is not None]
+    constant = [i for i in range(k) if starts[i] is None]
+    for group, smooth in ((prolonged, True), (constant, False)):
+        if not group:
+            continue
+        hp = hproj if len(group) == k else hproj[..., group]
+        if smooth:
+            init = _prolong(np.stack([starts[i] for i in group], axis=-1))
+        else:
+            init = np.array([hproj[..., i][mask[..., i]].min() for i in group])
+        for i, r in zip(group, _psor_values(theta, hp, tol, max_iter, init, smooth)):
+            results[i] = (*r, spent[i])
+    return results
 
 
 @lru_cache(maxsize=None)
@@ -327,6 +393,94 @@ def _active_set_finish(u, theta, hproj, mask, tol, history):
     return u, res, False, cg_iterations
 
 
+def psor_envelopes(
+    theta: ThetaDensity,
+    obstacles: list,
+    tol: float = _PSOR_TOL,
+    max_iter: int = 200_000,
+    constraint_masks: list | None = None,
+) -> list[ObstacleSolution]:
+    """Largest theta-psh field below each obstacle, the obstacles swept as one stack.
+
+    The termination criterion is the sup norm of the natural residual
+    ``min(obstacle - u, ma_density(theta, u))``, which controls feasibility,
+    positivity and complementarity at once.  ``constraint_masks`` holds one
+    entry per obstacle, None or a mask: the obstacle is then enforced only
+    on masked nodes (envelope relative to a measure supported there), and
+    elsewhere the equation ma = 0 holds.
+
+    All obstacles live on theta's grid.  Their PSOR sweeps run together as
+    one stack (:func:`_nested_sweeps`, :func:`_psor_values`) until each
+    residual is at most ``max(tol, _HANDOVER_TOL)``, starting from the
+    half-grid solution where it can be used (Gauss-Seidel for the first
+    sweeps) and from the constant min(h) otherwise; a problem leaves the
+    stack at the first residual check it passes, so every problem gets the
+    field, sweeps and history it gets swept alone.  Then each problem on
+    its own takes at most ``_ACTIVE_SET_STEPS`` active-set steps to certify
+    tol and, if none does, resumes PSOR from the last iterate within what
+    is left of ``max_iter`` sweeps.  Each report's ``iterations`` counts
+    the sweeps on this grid, ``coarse_sweeps`` those on the coarse levels,
+    which have their own budget and add no report, and ``cg_iterations``
+    the free-set CG iterations.  The reports are built in input order.
+
+    Raises :class:`ValueError` for an obstacle or mask off theta's grid,
+    :class:`EmptySupport` for an empty mask, and, once every problem is
+    solved, the first failing problem's :class:`NonConvergence` (carrying
+    its best iterate) if a sweep budget is exhausted.
+    """
+    grid = theta.grid
+    th = theta.density.values
+    masks = [None] * len(obstacles) if constraint_masks is None else list(constraint_masks)
+    if len(masks) != len(obstacles):
+        raise ValueError("one constraint mask per obstacle")
+    hprojs, full = [], []
+    for obstacle, mask in zip(obstacles, masks):
+        if obstacle.grid.n != grid.n:
+            raise ValueError("obstacle and theta grids differ")
+        hproj = obstacle.values
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != hproj.shape:
+                raise ValueError("constraint mask shape mismatch")
+            if not mask.any():
+                raise EmptySupport("constraint mask is empty")
+            hproj = np.where(mask, hproj, np.inf)
+        else:
+            mask = np.ones_like(hproj, dtype=bool)
+        hprojs.append(hproj)
+        full.append(mask)
+
+    handover = max(tol, _HANDOVER_TOL)
+    swept = _nested_sweeps(th, np.stack(hprojs, axis=-1), np.stack(full, axis=-1), handover, max_iter)
+    solutions = []
+    for obstacle, hproj, mask, sweep in zip(obstacles, hprojs, full, swept):
+        u, sweeps, res, history, ok, coarse_sweeps = sweep
+        cg_iterations = 0
+        if ok and res > tol:
+            u, res, ok, cg_iterations = _active_set_finish(u, th, hproj, mask, tol, history)
+            if not ok:
+                u, more, res, rest, ok = _psor_values(th, hproj, tol, max_iter - sweeps, u)
+                sweeps += more
+                history += rest
+        report = SolverReport(
+            "psor", sweeps, res, ok, history, cg_iterations=cg_iterations, coarse_sweeps=coarse_sweeps
+        )
+        w = th + curvature_values(u, grid.h)
+        gap = np.where(mask, obstacle.values - u, 0.0)
+        defect = float((gap * w).sum()) * grid.h**2
+        solutions.append(ObstacleSolution(GridField(grid, u), mask & (u == obstacle.values), defect, report))
+    for solution in solutions:
+        report = solution.report
+        if not report.converged:
+            raise NonConvergence(
+                f"projected SOR stalled at residual {report.residual:.3e} after {report.iterations} sweeps",
+                best=solution,
+                residual=report.residual,
+                iterations=report.iterations,
+            )
+    return solutions
+
+
 def psor_envelope(
     theta: ThetaDensity,
     obstacle: GridField,
@@ -334,66 +488,8 @@ def psor_envelope(
     max_iter: int = 200_000,
     constraint_mask: np.ndarray | None = None,
 ) -> ObstacleSolution:
-    """Largest theta-psh field below the obstacle (projected SOR, active-set finish).
-
-    The termination criterion is the sup norm of the natural residual
-    ``min(obstacle - u, ma_density(theta, u))``, which controls feasibility,
-    positivity and complementarity at once.  When ``constraint_mask`` is
-    given, the obstacle is enforced only on masked nodes (envelope relative
-    to a measure supported there); elsewhere the equation ma = 0 holds.
-
-    PSOR sweeps until the residual is at most ``max(tol, _HANDOVER_TOL)``,
-    starting from the half-grid solution where :func:`_nested_sweeps` can
-    use one (Gauss-Seidel for the first sweeps) and from the constant
-    min(h) otherwise; then at most ``_ACTIVE_SET_STEPS`` active-set steps
-    try to certify tol.  If none does, PSOR continues from the last iterate
-    within what is left of ``max_iter`` sweeps.  The report's
-    ``iterations`` counts the sweeps on this grid, ``coarse_sweeps`` those
-    on the coarse levels, which have their own budget and add no report,
-    and ``cg_iterations`` the free-set CG iterations.
-
-    Raises :class:`NonConvergence` (carrying the best iterate) if the sweep
-    budget is exhausted.
-    """
-    grid = theta.grid
-    if obstacle.grid.n != grid.n:
-        raise ValueError("obstacle and theta grids differ")
-    th = theta.density.values
-    hproj = obstacle.values
-    if constraint_mask is not None:
-        mask = np.asarray(constraint_mask, dtype=bool)
-        if mask.shape != hproj.shape:
-            raise ValueError("constraint mask shape mismatch")
-        if not mask.any():
-            raise EmptySupport("constraint mask is empty")
-        hproj = np.where(mask, hproj, np.inf)
-    else:
-        mask = np.ones_like(hproj, dtype=bool)
-
-    handover = max(tol, _HANDOVER_TOL)
-    u, sweeps, res, history, ok, coarse_sweeps = _nested_sweeps(th, hproj, mask, handover, max_iter)
-    cg_iterations = 0
-    if ok and res > tol:
-        u, res, ok, cg_iterations = _active_set_finish(u, th, hproj, mask, tol, history)
-        if not ok:
-            u, more, res, rest, ok = _psor_values(th, hproj, tol, max_iter - sweeps, u)
-            sweeps += more
-            history += rest
-    report = SolverReport(
-        "psor", sweeps, res, ok, history, cg_iterations=cg_iterations, coarse_sweeps=coarse_sweeps
-    )
-    w = th + curvature_values(u, grid.h)
-    gap = np.where(mask, obstacle.values - u, 0.0)
-    defect = float((gap * w).sum()) * grid.h**2
-    solution = ObstacleSolution(GridField(grid, u), mask & (u == obstacle.values), defect, report)
-    if not ok:
-        raise NonConvergence(
-            f"projected SOR stalled at residual {res:.3e} after {sweeps} sweeps",
-            best=solution,
-            residual=res,
-            iterations=sweeps,
-        )
-    return solution
+    """Largest theta-psh field below the obstacle: :func:`psor_envelopes` of one."""
+    return psor_envelopes(theta, [obstacle], tol, max_iter, [constraint_mask])[0]
 
 
 def envelope_mu(

@@ -375,6 +375,29 @@ class TestCliRun:
         assert check["name"] == "solver_converged" and check["passed"] is False
         assert check["value"] > 0.0  # the stalled residual
 
+    def test_grid_with_odd_half_grid_ends_in_its_manifest(self, tmp_path):
+        # n = 34 passes the schema, but its half grid 17 has no red-black
+        # colouring; the envelopes start from the constant instead
+        cfg_file = tmp_path / "o34.cfg"
+        cfg_file.write_text("scenario = orthogonality\nseed = 5\nn = 34\ncount = 2\n")
+        out = tmp_path / "out"
+        src = str(Path(maenv.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "maenv", "run", "orthogonality", "--config", str(cfg_file), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert "Traceback" not in run.stderr
+        payload = json.loads((out / "manifest.json").read_text())
+        # the step's defect is a result at this size, not a crash
+        assert run.returncode == (0 if payload["passed"] else 1)
+        assert set(payload["files"]) == {"defects.csv"}
+        assert [c["name"] for c in payload["checks"]] == [
+            "smooth_defects_vanish", "step_defect_floor", "step_defect_stable"
+        ]
+        assert len(payload["reports"]) == 4  # two smooth and two step envelopes
+
     def test_seed_override_from_environment(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "qt.cfg"
         cfg_file.write_text(smoke_text("quasi-triangle"))

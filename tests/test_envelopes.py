@@ -14,6 +14,7 @@ from maenv import (
     penalized_envelope,
     penalized_step,
     psor_envelope,
+    psor_envelopes,
     random_smooth_field,
     theta_cosine,
 )
@@ -351,6 +352,117 @@ class TestCoarseStartGuards:
         assert missed.report.iterations == constant.report.iterations == 64
         assert missed.report.history == constant.report.history
         assert missed.report.coarse_sweeps == 0
+
+    # n = 34 has an odd half grid (no red-black colouring) and starts from
+    # the constant; n = 68 takes one coarse level at 34, which stops there
+    @pytest.mark.parametrize("n, coarse", [(34, False), (68, True)])
+    def test_half_grid_without_colouring(self, n, coarse):
+        theta = theta_cosine(TorusGrid(n), 1.0)
+        h = GridField(theta.grid, crossing_min(theta.grid, 0))
+        sol = psor_envelope(theta, h, tol=1e-9)
+        want, want_res = TestActiveSetFinishMatchesPsor.reference(theta.density.values, h.values)
+        assert want_res <= 1e-9
+        assert np.abs(sol.u.values - want).max() <= 1e-9
+        assert sol.report.converged
+        assert (sol.report.coarse_sweeps > 0) == coarse
+
+
+def even_sites_free_mask(n):
+    # constrained only off the even sub-lattice: no coarse level for this problem
+    i = np.arange(n) % 2 == 1
+    return i[:, None] | i[None, :]
+
+
+# (name, obstacle(grid), constraint mask(n) or None) of one n = 64 stack
+# sharing theta_cosine: smooth draws, the lsc step band, a crossing pair,
+# an envelope_mu mask, and a mask that fails the coarse level's guard
+STACK_CASES = CROSS_CHECK_CASES[:6] + [
+    ("mu-mask", lambda g: smooth_obstacle(g.n), null_band_mask),
+    ("even-free", lambda g: smooth_obstacle(g.n), even_sites_free_mask),
+]
+
+
+def solve_stack_and_alone(theta, obstacles, masks, **kwargs):
+    with _newton.collect_reports() as collected:
+        stacked = psor_envelopes(theta, obstacles, constraint_masks=masks, **kwargs)
+    assert collected == [sol.report for sol in stacked]  # built in input order
+    alone = []
+    for h, mask in zip(obstacles, masks):
+        with _newton.collect_reports() as one:
+            alone.append(psor_envelope(theta, h, constraint_mask=mask, **kwargs))
+        assert one == [alone[-1].report]
+    return stacked, alone
+
+
+class TestStackedSweepsMatchSolo:
+    """psor_envelopes gives every problem of a stack its solo result, bit for bit."""
+
+    @staticmethod
+    def assert_same(stacked, alone):
+        assert len(stacked) == len(alone)
+        for got, want in zip(stacked, alone):
+            assert np.array_equal(got.u.values, want.u.values)
+            assert np.array_equal(got.contact_mask, want.contact_mask)
+            assert got.complementarity_defect == want.complementarity_defect
+            # iterations, coarse_sweeps, cg_iterations, residual and history
+            assert got.report == want.report
+
+    # one active-set step certifies each of these problems; with none, each
+    # resumes PSOR after the handover, one problem at a time
+    @pytest.mark.parametrize("steps", [obstacle._ACTIVE_SET_STEPS, 0])
+    def test_mixed_stack(self, monkeypatch, steps):
+        monkeypatch.setattr(obstacle, "_ACTIVE_SET_STEPS", steps)
+        resumed = []
+        sweep = obstacle._psor_values
+
+        def counting(theta, hproj, *args):
+            resumed.append(hproj.ndim == 2)  # only the resume sweeps one grid
+            return sweep(theta, hproj, *args)
+
+        monkeypatch.setattr(obstacle, "_psor_values", counting)
+        grid = TorusGrid(64)
+        theta = theta_cosine(grid, 1.0)
+        obstacles = [GridField(grid, case[1](grid)) for case in STACK_CASES]
+        masks = [None if case[2] is None else case[2](grid.n) for case in STACK_CASES]
+        stacked, alone = solve_stack_and_alone(theta, obstacles, masks, tol=1e-9)
+        self.assert_same(stacked, alone)
+        coarse = [sol.report.coarse_sweeps > 0 for sol in stacked]
+        assert coarse == [name != "even-free" for name, *_ in STACK_CASES]
+        assert all(sol.report.converged for sol in stacked)
+        # every problem resumed once in the stack and once alone, or never
+        assert sum(resumed) == (0 if steps else 2 * len(STACK_CASES))
+
+    def test_stack_of_constant_starts(self):
+        n = 64
+        theta = alternating_theta(n)
+        grid = theta.grid
+        obstacles = [GridField(grid, smooth_obstacle(n)), GridField(grid, step_obstacle(n))]
+        obstacles.append(GridField(grid, crossing_min(grid, 1)))
+        stacked, alone = solve_stack_and_alone(theta, obstacles, [None] * 3, tol=1e-9)
+        self.assert_same(stacked, alone)
+        assert all(sol.report.coarse_sweeps == 0 for sol in stacked)
+
+    def test_first_failure_in_input_order_is_raised(self):
+        grid = TorusGrid(64)
+        theta = ThetaDensity(constant_field(grid, 1.0))
+        obstacles = [constant_field(grid, 0.0), kinked_obstacle(grid), GridField(grid, step_obstacle(64))]
+        with _newton.collect_reports() as collected:
+            with pytest.raises(NonConvergence) as exc:
+                psor_envelopes(theta, obstacles, tol=1e-14, max_iter=50)
+        with pytest.raises(NonConvergence) as solo:
+            psor_envelope(theta, obstacles[1], tol=1e-14, max_iter=50)
+        assert [r.converged for r in collected] == [True, False, False]
+        assert exc.value.best.report == solo.value.best.report
+        assert np.array_equal(exc.value.best.u.values, solo.value.best.u.values)
+        assert str(exc.value) == str(solo.value)
+
+    def test_grids_other_than_thetas_are_rejected(self):
+        theta = theta_cosine(TorusGrid(64), 1.0)
+        h = GridField(theta.grid, smooth_obstacle(64))
+        with pytest.raises(ValueError, match="grids differ"):
+            psor_envelopes(theta, [h, GridField(TorusGrid(32), smooth_obstacle(32))])
+        with pytest.raises(ValueError, match="mask shape"):
+            psor_envelopes(theta, [h, h], constraint_masks=[None, null_band_mask(32)])
 
 
 METAMORPHIC_CASES = [(n, seed) for n in (16, 32) for seed in (0, 1, 2)]
