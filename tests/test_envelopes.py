@@ -463,6 +463,8 @@ class TestStackedSweepsMatchSolo:
             psor_envelopes(theta, [h, GridField(TorusGrid(32), smooth_obstacle(32))])
         with pytest.raises(ValueError, match="mask shape"):
             psor_envelopes(theta, [h, h], constraint_masks=[None, null_band_mask(32)])
+        with pytest.raises(ValueError, match="one constraint mask per obstacle"):
+            psor_envelopes(theta, [h, h], constraint_masks=[None])
 
 
 METAMORPHIC_CASES = [(n, seed) for n in (16, 32) for seed in (0, 1, 2)]
