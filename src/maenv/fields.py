@@ -91,12 +91,19 @@ def random_smooth_field(
     """Random low-frequency trigonometric polynomial, sup-norm ~ amplitude."""
     n = grid.n
     spec = np.zeros((n, n // 2 + 1), dtype=complex)
-    for kx in range(-modes, modes + 1):
-        for ky in range(0, modes + 1):
-            if kx == 0 and ky == 0:
-                continue
-            re, im = rng.standard_normal(2)
-            spec[kx % n, ky] = re + 1j * im
+    # the modes kx = -modes..modes (outer), ky = 0..modes (inner) but (0, 0),
+    # each given re + i*im from one draw of all their normals in that order
+    kx, ky = np.divmod(np.arange((2 * modes + 1) * (modes + 1)), modes + 1)
+    kx -= modes
+    keep = (kx != 0) | (ky != 0)
+    kx, ky = kx[keep], ky[keep]
+    draws = rng.standard_normal(2 * kx.size)
+    coef = draws[0::2] + 1j * draws[1::2]
+    # where kx % n repeats (2 * modes + 1 > n) the larger kx was written
+    # last; numpy does not order the repeated writes of one indexed
+    # assignment, so only the larger kx is assigned
+    last = kx > modes - n
+    spec[kx[last] % n, ky[last]] = coef[last]
     vals = np.fft.irfft2(spec, s=(n, n)) * n * n
     peak = np.abs(vals).max()
     if peak > 0:

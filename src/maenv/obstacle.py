@@ -113,14 +113,17 @@ def _natural_residual(u, hproj, theta, h):
     """Sup norm of min(hproj - u, theta + curvature(u)) over the grid axes.
 
     A float for one grid (n, n); for a stack (n, n, k), the list of the k
-    problems' norms.
+    problems' norms, each the max of a row of a contiguous (k, n^2) copy: a
+    max over axes 0 and 1 of the stack runs numpy's inner loop k sites long.
     """
     w = curvature_values(u, h)
     w += theta
     gap = hproj - u
     np.minimum(gap, w, out=gap)
     np.abs(gap, out=gap)
-    return gap.max(axis=(0, 1)).tolist()
+    if gap.ndim == 2:
+        return float(gap.max())
+    return np.ascontiguousarray(gap.reshape(-1, gap.shape[2]).T).max(axis=1).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -182,16 +185,15 @@ def _psor_values(theta, hproj, tol, max_iter, init, smooth=False):
     omega_opt = 2.0 / (1.0 + np.sin(np.pi * h))
 
     order, nbr = _colour_split(n)
-    hp = np.take(stack.reshape(n * n, k), order, axis=0)
+    hp = stack.reshape(n * n, k).take(order, axis=0)
     x = np.asarray(init, dtype=float)
     if x.ndim >= 2:  # a start field per problem, else a constant per problem
-        x = np.take(x.reshape(n * n, -1), order, axis=0)
+        x = x.reshape(n * n, -1).take(order, axis=0)
     x = np.minimum(x, hp)
-    ct = theta.ravel()[order]
-    ct *= 2.0 * np.pi * h * h
     # theta's term in every column: adding an (m, 1) column across k
     # columns runs numpy's inner loop k sites long, four times slower
-    ct = np.repeat(ct[..., None], k, axis=-1)
+    ct = np.empty(hp.shape)
+    np.multiply(theta.ravel()[order][..., None], 2.0 * np.pi * h * h, out=ct)
     live = list(range(k))
     histories = [[] for _ in live]
     results = [None] * k
@@ -250,6 +252,14 @@ def _psor_values(theta, hproj, tol, max_iter, init, smooth=False):
     return results if hproj.ndim == 3 else results[0]
 
 
+def _stack(arrays):
+    """``np.stack(arrays, axis=-1)``, without its Python work per array."""
+    out = np.empty((*arrays[0].shape, len(arrays)), dtype=arrays[0].dtype)
+    for i, a in enumerate(arrays):
+        out[..., i] = a
+    return out
+
+
 def _prolong(uc):
     """Periodic bilinear interpolation onto the doubled grid (axes 0 and 1)."""
     n = uc.shape[0]
@@ -287,9 +297,11 @@ def _nested_sweeps(theta, hproj, mask, tol, max_iter):
     n, k = hproj.shape[0], hproj.shape[2]
     thc, mc = theta[::2, ::2], mask[::2, ::2]
     starts, spent = [None] * k, [0] * k
-    coarse = np.flatnonzero(mc.any(axis=(0, 1)))
-    if n % 4 == 0 and n >= _COARSE_MIN_N and thc.sum() > 0.0 and coarse.size:
-        levels = _nested_sweeps(thc, hproj[::2, ::2, coarse], mc[..., coarse], tol, _COARSE_BUDGET * (n // 2))
+    coarse = np.flatnonzero(mc.any(axis=(0, 1))) if n % 4 == 0 and n >= _COARSE_MIN_N else ()
+    if len(coarse) and thc.sum() > 0.0:
+        # the whole stack as views of the fine one, a part of it as a copy
+        sub = slice(None) if len(coarse) == k else coarse
+        levels = _nested_sweeps(thc, hproj[::2, ::2, sub], mc[..., sub], tol, _COARSE_BUDGET * (n // 2))
         for i, (uc, sweeps, _, _, ok, deeper) in zip(coarse, levels):
             spent[i] = deeper + sweeps
             if ok:
@@ -302,7 +314,7 @@ def _nested_sweeps(theta, hproj, mask, tol, max_iter):
             continue
         hp = hproj if len(group) == k else hproj[..., group]
         if smooth:
-            init = _prolong(np.stack([starts[i] for i in group], axis=-1))
+            init = _prolong(_stack([starts[i] for i in group]))
         else:
             init = np.array([hproj[..., i][mask[..., i]].min() for i in group])
         for i, r in zip(group, _psor_values(theta, hp, tol, max_iter, init, smooth)):
@@ -453,7 +465,7 @@ def psor_envelopes(
         full.append(mask)
 
     handover = max(tol, _HANDOVER_TOL)
-    swept = _nested_sweeps(th, np.stack(hprojs, axis=-1), np.stack(full, axis=-1), handover, max_iter)
+    swept = _nested_sweeps(th, _stack(hprojs), _stack(full), handover, max_iter)
     solutions = []
     for obstacle, hproj, mask, sweep in zip(obstacles, hprojs, full, swept):
         u, sweeps, res, history, ok, coarse_sweeps = sweep

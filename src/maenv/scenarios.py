@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from ._newton import collect_reports
 from .energy import (
+    _quasi_triangle_checks,
     capacity,
     cap_convergence_metric,
     extremal_field,
     generalized_capacity,
-    quasi_triangle_check,
 )
 from .equations import perron_solve, pmin_compose, solve_ma_exponential
 from .errors import ConfigError, MaenvError, ScenarioFailure
@@ -300,12 +300,17 @@ class RunManifest:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _csv(header: str, rows) -> str:
-    return "\n".join([header] + [",".join(_fmt(c) if not isinstance(c, str) else c for c in row) for row in rows]) + "\n"
+    """CSV text: str cells as they are, every other cell as float(cell) to 17 digits.
+
+    Each row is formatted by one ``%`` string, whose ``%.17g`` writes the
+    bytes of ``format(float(cell), ".17g")``.
+    """
+    lines = [header]
+    for row in rows:
+        row = tuple(row)
+        lines.append(",".join(["%s" if isinstance(c, str) else "%.17g" for c in row]) % row)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +620,7 @@ def _scn_quasi_triangle(p, seed):
         u = random_theta_psh(theta, rng)
         v = random_theta_psh(theta, rng)
         w = random_theta_psh(theta, rng)
-        for pv in p_values:
-            r = quasi_triangle_check(theta, u, v, w, pv)
+        for pv, r in zip(p_values, _quasi_triangle_checks(theta, u, v, w, p_values)):
             c_test[pv] = r.c_test
             violations += not r.passed
             if np.isfinite(r.ratio):

@@ -12,7 +12,11 @@ projected SOR sweep; :func:`roll_neighbor_sum`, the neighbour sum by
 ``np.roll``; :func:`laplacian_matrix_reference`, the periodic Laplacian
 assembled as a Kronecker sum; :func:`inf_convolution_reference`, the
 inf-convolution by brute force over every shift; and
-:func:`lower_hull_reference`, the radial hull scan on numpy scalars.  :func:`newton_direct_reference`, damped Newton
+:func:`lower_hull_reference`, the radial hull scan on numpy scalars;
+:func:`random_smooth_field_reference`, the random spectrum drawn one mode
+at a time; :func:`csv_reference`, the CSV text formatted one cell at a
+time; and :func:`quasi_triangle_reference`, the quasi-triangle ratio with
+every density and gap recomputed per pairing.  :func:`newton_direct_reference`, damped Newton
 with a fresh sparse LU per step, must agree with the factorization-reusing
 Newton to rounding.  :func:`capacity_lp_reference` hands the capacity
 linear program to a general simplex solver, where the library certifies the
@@ -31,7 +35,7 @@ from scipy.optimize import linprog
 
 from maenv._newton import _EXP_CAP, SolverReport
 from maenv.errors import NewtonStall, NonConvergence
-from maenv.torus import laplacian_matrix
+from maenv.torus import GridField, laplacian_matrix, ma_density
 
 
 def roll_neighbor_sum(u):
@@ -447,3 +451,43 @@ def moreau_of_step(dist, j, depth=1.0):
     """Closed-form Moreau envelope of a 0 / -depth step at distance ``dist``
     from the low set: min(0, j*dist^2 - depth)."""
     return np.minimum(0.0, j * np.asarray(dist, dtype=float) ** 2 - depth)
+
+
+def random_smooth_field_reference(grid, rng, modes=3, amplitude=1.0):
+    """The random trig polynomial of ``fields.random_smooth_field``, one draw per mode."""
+    n = grid.n
+    spec = np.zeros((n, n // 2 + 1), dtype=complex)
+    for kx in range(-modes, modes + 1):
+        for ky in range(0, modes + 1):
+            if kx == 0 and ky == 0:
+                continue
+            re, im = rng.standard_normal(2)
+            spec[kx % n, ky] = re + 1j * im
+    vals = np.fft.irfft2(spec, s=(n, n)) * n * n
+    peak = np.abs(vals).max()
+    if peak > 0:
+        vals *= amplitude / peak
+    return GridField(grid, vals)
+
+
+def csv_reference(header, rows):
+    """The CSV text of ``scenarios._csv``, each non-str cell by format(float(cell), ".17g")."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def quasi_triangle_reference(theta, u, v, w, p):
+    """(lhs, rhs, ratio) of ``energy.quasi_triangle_check``, each I_p computed afresh."""
+
+    def ip(a, b):
+        gap = np.abs(a.values - b.values) ** p
+        total = ma_density(theta, a).values + ma_density(theta, b).values
+        return float((gap * total).sum()) * theta.grid.h**2
+
+    c_test = 2.0 ** (p + 1) + 3.0 * 2.0 ** (2 * p + 2)
+    lhs = ip(u, v)
+    base = ip(u, w) + ip(v, w)
+    ratio = lhs / base if base > 0 else (0.0 if lhs <= 0 else float("inf"))
+    return lhs, c_test * base, ratio

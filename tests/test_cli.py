@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import maenv
@@ -18,6 +19,7 @@ from maenv.errors import ConfigError, ScenarioFailure
 from maenv.scenarios import (
     _RADIAL_BALL_MIN_M,
     SCENARIOS,
+    _csv,
     ScenarioConfig,
     parse_config_text,
     read_config,
@@ -28,6 +30,8 @@ from maenv.fields import theta_cosine
 from maenv.obstacle import psor_envelope
 from maenv.radial import local_envelope_ball
 from maenv.torus import TorusGrid, constant_field
+
+from oracles import csv_reference
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -610,3 +614,22 @@ class TestSmokeAllScenarios:
         assert manifest.scenario == name
         assert set(manifest.files) == EXPECTED_ARTIFACTS[name]
         assert all(c.passed for c in manifest.checks)
+
+
+class TestCsvMatchesPerCellFormat:
+    def test_special_values_and_cell_types(self):
+        rows = [
+            ("nan", float("nan"), float("inf"), -float("inf"), -0.0, 0.0),
+            (5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3),
+            (True, False, 0, -7, 2**53 + 1, 10**30),
+            (np.float64(np.pi), np.float32(0.1), np.int64(-3), np.bool_(True), np.float64(-0.0), np.nan),
+            (np.str_("mask"), "", "a b", 1e-300, 123456789.0, 1e16),
+        ]
+        assert _csv("a,b,c,d,e,f", rows) == csv_reference("a,b,c,d,e,f", rows)
+        assert _csv("only,header", []) == "only,header\n"
+
+    def test_random_floats(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(4000) * 10.0 ** rng.integers(-310, 307, 4000)
+        rows = [tuple(r) for r in values.reshape(-1, 4)] + [values[:3]]
+        assert _csv("w,x,y,z", rows) == csv_reference("w,x,y,z", rows)

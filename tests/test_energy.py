@@ -24,7 +24,12 @@ from maenv.fields import random_theta_psh, theta_cosine
 from maenv.scenarios import _sandwich_masks
 from maenv.torus import curvature_values
 
-from oracles import capacity_lp_reference, capacity_subset_ascent, ip_pairing_quadrature
+from oracles import (
+    capacity_lp_reference,
+    capacity_subset_ascent,
+    ip_pairing_quadrature,
+    quasi_triangle_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +137,24 @@ class TestQuasiTriangle:
                 headroom = max(headroom, res.ratio / res.c_test)
         # the proof constant should dominate with a wide margin
         assert headroom < 0.5
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_all_p_check_equals_the_per_p_check(self, seed):
+        # one density, gap and density sum per field or pair serves every p
+        grid = TorusGrid(32)
+        theta = theta_cosine(grid, 1.0, 0.5)
+        rng = np.random.default_rng(seed)
+        p_values = (0.5, 1.0, 2.0, 3.0)
+        for _ in range(8):
+            u, v, w = (random_theta_psh(theta, rng) for _ in range(3))
+            together = maenv.energy._quasi_triangle_checks(theta, u, v, w, p_values)
+            assert len(together) == len(p_values)
+            for p, res in zip(p_values, together):
+                alone = quasi_triangle_check(theta, u, v, w, p)
+                assert (res.lhs, res.rhs, res.ratio) == (alone.lhs, alone.rhs, alone.ratio)
+                assert (res.c_test, res.passed) == (alone.c_test, alone.passed)
+                assert (res.lhs, res.rhs, res.ratio) == quasi_triangle_reference(theta, u, v, w, p)
+                assert res.lhs == energy_Ip(theta, u, v, p)
 
 
 @pytest.fixture(scope="module")

@@ -17,13 +17,14 @@ from maenv import (
     ma_density,
     theta_cosine,
 )
-from maenv.fields import _stencil_max
+from maenv.fields import _stencil_max, random_smooth_field
 from maenv.torus import laplacian_matrix, neighbor_sum, neighbor_table
 
 from oracles import (
     inf_convolution_reference,
     laplacian_matrix_reference,
     moreau_of_step,
+    random_smooth_field_reference,
     roll_neighbor_sum,
 )
 
@@ -237,3 +238,18 @@ class TestNeighborTable:
         got = _stencil_max(values)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestRandomSmoothFieldMatchesLoop:
+    # n = 8 with modes = 4 draws kx = -4 and kx = 4 onto the same row, where
+    # the later draw must win; modes = 0 draws nothing
+    @pytest.mark.parametrize("n, modes", [(8, 4), (8, 2), (16, 3), (64, 3), (64, 0)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_field_and_stream(self, n, modes, seed):
+        grid = TorusGrid(n)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for amplitude in (1.0, 0.5):
+            u = random_smooth_field(grid, rng, modes, amplitude)
+            want = random_smooth_field_reference(grid, ref_rng, modes, amplitude)
+            assert np.array_equal(u.values, want.values)
+        assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
