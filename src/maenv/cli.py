@@ -11,9 +11,8 @@ directory, one worker process per config up to the number of CPUs, and
 prints a pass/fail matrix.  Exit status: 0 when all checks pass, 1 when a
 scenario check fails, 2 on configuration errors (an output directory that
 cannot be created, or an output file that cannot be written, is one).
-
-The environment variable ``MAENV_SEED`` overrides the config seed for
-``run`` (useful for re-rolling randomized scenarios without editing files).
+The config's ``seed`` is the only seed: no option or environment variable
+overrides it.
 """
 
 from __future__ import annotations
@@ -49,12 +48,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = read_config(args.config, args.scenario)
-            seed_env = os.environ.get("MAENV_SEED")
-            if seed_env is not None:
-                try:
-                    config = config.with_seed(int(seed_env))
-                except ValueError:
-                    raise ConfigError(f"MAENV_SEED must be an integer, got {seed_env!r}") from None
             manifest = run_scenario(config, args.out)
             for check in manifest.checks:
                 print(f"PASS {check.name} = {check.value:.10g}")

@@ -6,6 +6,10 @@ program:
 
 * ``energy_Ip``  -- I_p(u, v) = integral |u-v|^p (ma(u) + ma(v)), the
   quasi-metric whose quasi-triangle constant is certified below;
+* ``quasi_triangle_check`` -- that constant for one triple at every p of a
+  list, from one density per field;
+* ``extremal_field`` -- V_theta, the envelope of the zero obstacle and the
+  upper bound of ``capacity``;
 * ``capacity``   -- sup of the ma-mass placed on a set by potentials
   squeezed into [V_theta - 1, V_theta], the optimum of a linear program.
   Both modes evaluate the relative extremal envelope (Bedford & Taylor,
@@ -42,10 +46,12 @@ __all__ = [
     "QuasiTriangleResult",
     "energy_Ip",
     "quasi_triangle_check",
+    "extremal_field",
     "capacity",
     "generalized_capacity",
     "cap_convergence_metric",
 ]
+
 
 def extremal_field(theta: ThetaDensity) -> GridField:
     """V_theta: the envelope of the zero obstacle (minimal-singularity potential)."""
@@ -78,12 +84,17 @@ class QuasiTriangleResult:
     ratio: float
 
 
-def _quasi_triangle_checks(theta, u, v, w, p_values) -> list[QuasiTriangleResult]:
-    """:func:`quasi_triangle_check` at each p of ``p_values``, in that order.
+def quasi_triangle_check(
+    theta: ThetaDensity, u: GridField, v: GridField, w: GridField, p_values
+) -> list[QuasiTriangleResult]:
+    """Check I_p(u,v) <= C * (I_p(u,w) + I_p(v,w)) with C = 2^{p+1} + 3*2^{2p+2}.
 
-    The three densities, gaps and density sums do not depend on p, so they
-    are computed once; each I_p is then :func:`energy_Ip`'s quadrature, bit
-    for bit.
+    One result per p of ``p_values``, in that order.  The constant dominates
+    the chain of elementary bounds used to compare the three pairings in one
+    complex dimension; the result records the empirical ratio so suites can
+    report how loose it is.  The three densities, gaps and density sums do
+    not depend on p, so they are computed once; each I_p is then
+    :func:`energy_Ip`'s quadrature, bit for bit.
     """
     h = theta.grid.h
     mu, mv, mw = (ma_density(theta, f).values for f in (u, v, w))
@@ -101,19 +112,6 @@ def _quasi_triangle_checks(theta, u, v, w, p_values) -> list[QuasiTriangleResult
         ratio = lhs / base if base > 0 else (0.0 if lhs <= 0 else float("inf"))
         results.append(QuasiTriangleResult(lhs, rhs, c_test, lhs <= rhs + 1e-15, ratio))
     return results
-
-
-def quasi_triangle_check(
-    theta: ThetaDensity, u: GridField, v: GridField, w: GridField, p: float
-) -> QuasiTriangleResult:
-    """Check I_p(u,v) <= C * (I_p(u,w) + I_p(v,w)) with C = 2^{p+1} + 3*2^{2p+2}.
-
-    The constant dominates the chain of elementary bounds used to compare
-    the three pairings in one complex dimension; the result records the
-    empirical ratio so suites can report how loose it is.  Each I_p is
-    :func:`energy_Ip`'s quadrature, bit for bit.
-    """
-    return _quasi_triangle_checks(theta, u, v, w, (p,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The basic equation is semilinear in one complex dimension,
 
-    theta + curvature(phi) = exp(beta * phi) * mu,        beta > 0,
+    theta + curvature(phi) = exp(phi) * mu,
 
 with a unique solution for any nonzero measure density mu (the nonlinearity
 is strictly monotone).  On top of the solver this module provides:
@@ -48,24 +48,18 @@ __all__ = [
 _EQUATION_TOL = 1e-6  # two-sided equation residual at which perron_solve stops
 
 
-def solve_ma_exponential(
-    theta: ThetaDensity,
-    mu: MeasureDensity,
-    beta: float = 1.0,
-):
-    """Solve theta + curvature(phi) = exp(beta*phi) * mu by damped Newton.
+def solve_ma_exponential(theta: ThetaDensity, mu: MeasureDensity):
+    """Solve theta + curvature(phi) = exp(phi) * mu by damped Newton.
 
     Returns ``(GridField, SolverReport)``.  The equation has a unique
-    solution for beta > 0; the start is the constant balancing the total
-    masses, log(V / mu_total) / beta.
+    solution; the start is the constant balancing the total masses,
+    log(V / mu_total).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     grid = theta.grid
-    c = np.log(theta.total_mass / mu.total_mass) / beta
+    c = np.log(theta.total_mass / mu.total_mass)
     u0 = np.full((grid.n, grid.n), c)
     zero = np.zeros((grid.n, grid.n))
-    phi, report = newton_semilinear(theta.density.values, [(float(beta), zero, mu.density.values)], u0)
+    phi, report = newton_semilinear(theta.density.values, [(1.0, zero, mu.density.values)], u0)
     return GridField(grid, phi), report
 
 

@@ -3,7 +3,9 @@
 Everything here is a closed-form construction on a given grid — the runner
 configs refer to these families by name, and the refinement studies rely on
 the right-hand sides being analytic (so residuals measure discretization
-alone, not data manufactured on the same grid).
+alone, not data manufactured on the same grid).  A family takes as
+parameters only what the scenarios vary: the density is 1 + a*cos(2*pi*x),
+the step band has depth -1 and a random field draws the modes |kx|, ky <= 3.
 
 The supersolution corpus builds pairs (v, f) satisfying, for theta = 1,
 
@@ -61,53 +63,45 @@ def _cosine_curvature(grid, amplitude, kx=1, ky=0, phase=0.0) -> np.ndarray:
     )
 
 
-def theta_cosine(grid: TorusGrid, base: float = 1.0, amplitude: float = 0.0) -> ThetaDensity:
-    """Density base + amplitude*cos(2*pi*x); mean = base > 0."""
+def theta_cosine(grid: TorusGrid, *, amplitude: float = 0.0) -> ThetaDensity:
+    """Density 1 + amplitude*cos(2*pi*x); mean 1."""
     x, _ = grid.coords()
-    return ThetaDensity(GridField(grid, base + amplitude * np.cos(2.0 * np.pi * x)))
+    return ThetaDensity(GridField(grid, 1.0 + amplitude * np.cos(2.0 * np.pi * x)))
 
 
-def step_band(grid: TorusGrid, x0: float, x1: float, depth: float = -1.0):
+def step_band(grid: TorusGrid, x0: float, x1: float):
     """Two-valued obstacle on a band in x: (true values, lsc sampling).
 
-    The true obstacle is ``depth`` strictly inside (x0, x1) and 0 at the edge
-    samples; the lower-semicontinuous sampling extends ``depth`` to the
-    closed band, which is the constraint set the envelope actually sees.
-    Defect integrands use the true values, solvers the lsc ones.
+    The true obstacle is -1 strictly inside (x0, x1) and 0 at the edge
+    samples; the lower-semicontinuous sampling extends -1 to the closed
+    band, which is the constraint set the envelope actually sees.  Defect
+    integrands use the true values, solvers the lsc ones.
     """
     if not 0.0 <= x0 < x1 <= 1.0:
         raise ValueError("band must satisfy 0 <= x0 < x1 <= 1")
     x, _ = grid.coords()
     open_band = (x > x0) & (x < x1)
     closed_band = (x >= x0) & (x <= x1)
-    true_vals = np.where(open_band, depth, 0.0)
-    lsc_vals = np.where(closed_band, depth, 0.0)
+    true_vals = np.where(open_band, -1.0, 0.0)
+    lsc_vals = np.where(closed_band, -1.0, 0.0)
     return GridField(grid, true_vals), GridField(grid, lsc_vals)
 
 
-def random_smooth_field(
-    grid: TorusGrid, rng: np.random.Generator, modes: int = 3, amplitude: float = 1.0
-) -> GridField:
-    """Random low-frequency trigonometric polynomial, sup-norm ~ amplitude."""
+def random_smooth_field(grid: TorusGrid, rng: np.random.Generator, *, amplitude: float = 1.0) -> GridField:
+    """Random trigonometric polynomial of the modes |kx|, ky <= 3, sup-norm amplitude."""
     n = grid.n
     spec = np.zeros((n, n // 2 + 1), dtype=complex)
-    # the modes kx = -modes..modes (outer), ky = 0..modes (inner) but (0, 0),
-    # each given re + i*im from one draw of all their normals in that order
-    kx, ky = np.divmod(np.arange((2 * modes + 1) * (modes + 1)), modes + 1)
-    kx -= modes
+    # the modes kx = -3..3 (outer), ky = 0..3 (inner) but (0, 0), each given
+    # re + i*im from one draw of all their normals in that order; on every
+    # grid (n >= 8) the rows kx % n are distinct
+    kx, ky = np.divmod(np.arange(7 * 4), 4)
+    kx -= 3
     keep = (kx != 0) | (ky != 0)
     kx, ky = kx[keep], ky[keep]
     draws = rng.standard_normal(2 * kx.size)
-    coef = draws[0::2] + 1j * draws[1::2]
-    # where kx % n repeats (2 * modes + 1 > n) the larger kx was written
-    # last; numpy does not order the repeated writes of one indexed
-    # assignment, so only the larger kx is assigned
-    last = kx > modes - n
-    spec[kx[last] % n, ky[last]] = coef[last]
+    spec[kx % n, ky] = draws[0::2] + 1j * draws[1::2]
     vals = np.fft.irfft2(spec, s=(n, n)) * n * n
-    peak = np.abs(vals).max()
-    if peak > 0:
-        vals *= amplitude / peak
+    vals *= amplitude / np.abs(vals).max()
     return GridField(grid, vals)
 
 
@@ -120,7 +114,7 @@ def random_theta_psh(theta: ThetaDensity, rng: np.random.Generator) -> GridField
     theta_min = float(theta.density.values.min())
     if theta_min <= 0:
         raise ValueError("random admissible fields need a strictly positive density")
-    raw = random_smooth_field(theta.grid, rng, 3, 1.0)
+    raw = random_smooth_field(theta.grid, rng)
     curv_min = float(curvature_values(raw.values, theta.grid.h).min())
     if curv_min >= 0:
         return raw

@@ -602,7 +602,7 @@ def penalized_envelope(
 
     schedule = schedule or PenalizationSchedule()
     oracle = envelope_mu(theta, v, mu)
-    phi_fixed, _ = solve_ma_exponential(theta, mu, beta=1.0)
+    phi_fixed, _ = solve_ma_exponential(theta, mu)
     inf_v = float(v.values.min())
 
     iterates, sups, l1s, slacks, reports = [], [], [], [], []

@@ -23,10 +23,11 @@ lower-semicontinuous ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import InfeasibleMask, OrderViolation
+from .errors import InfeasibleMask
 
 _SLOPE_TOL = 1e-8  # slack on the slope range [0, 1/2] of a sampled profile
 _ATOM_FACTOR = 10.0  # slope jump over the ambient variation that makes an atom
@@ -48,21 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TAxis:
-    """Uniform samples t_k = t_min + k*(t_max - t_min)/m, k = 0..m-1.
+    """Uniform samples t_k = t_min + k*dt, k = 0..m-1, on [t_min, t_max] = [-40, 40].
 
-    The samples are computed as (k - k0)*dt with k0 = m*(-t_min)/(t_max -
-    t_min), the index of t = 0.  Whenever k0 is an integer, as for every even
-    m on a symmetric axis, the sample at k0 is exactly 0.0 (the atom of the
-    ball example sits there); t_min + k*dt can miss it by rounding.
+    The samples are computed as (k - m/2)*dt with dt = 80/m, so for every
+    even m the sample at k = m/2 is exactly 0.0 (the atom of the ball
+    example sits there); t_min + k*dt can miss it by rounding.  An odd m
+    has no sample at t = 0.
     """
 
-    t_min: float = -40.0
-    t_max: float = 40.0
+    t_min: ClassVar[float] = -40.0
+    t_max: ClassVar[float] = 40.0
     m: int = 4096
 
     def __post_init__(self):
-        if not (self.t_min < 0.0 < self.t_max):
-            raise ValueError("axis must satisfy t_min < 0 < t_max")
         if self.m < 64:
             raise ValueError("need at least 64 samples")
 
@@ -72,8 +71,7 @@ class TAxis:
 
     @property
     def ts(self) -> np.ndarray:
-        k0 = self.m * -self.t_min / (self.t_max - self.t_min)
-        return (np.arange(self.m) - k0) * self.dt
+        return (np.arange(self.m) - self.m / 2) * self.dt
 
 
 class RadialProfile:
@@ -155,32 +153,29 @@ def _lower_hull(ts: np.ndarray, gs: np.ndarray):
     return np.asarray(idx)
 
 
-def constrained_convex_envelope(
-    ts, gs, s_min: float = 0.0, s_max: float | None = 0.5
-) -> _HullEnvelope:
-    """Largest convex minorant of the samples with slopes in [s_min, s_max].
+def constrained_convex_envelope(ts, gs, *, s_max: float | None = 0.5) -> _HullEnvelope:
+    """Largest convex minorant of the samples with slopes in [0, s_max].
 
     Computed exactly: the unconstrained lower hull is clipped by replacing the
-    leading edges of slope < s_min (resp. trailing edges of slope > s_max)
-    with rays of slope s_min (resp. s_max) through the first (resp. last)
+    leading edges of negative slope (resp. trailing edges of slope > s_max)
+    with rays of slope 0 (resp. s_max) through the first (resp. last)
     admissible hull vertex.  This equals the double Legendre transform with
-    the conjugate restricted to [s_min, s_max].
+    the conjugate restricted to [0, s_max].  ``s_max=None`` leaves the slopes
+    unbounded above.
     """
     ts = np.asarray(ts, dtype=np.float64)
     gs = np.asarray(gs, dtype=np.float64)
-    if s_max is not None and s_min > s_max:
-        raise OrderViolation(f"s_min={s_min} exceeds s_max={s_max}")
     if ts.size < 2:
         raise ValueError("need at least two samples")
     hull = _lower_hull(ts, gs)
     hx, hy = ts[hull], gs[hull]
     slopes = np.diff(hy) / np.diff(hx)
-    lo = int(np.searchsorted(slopes, s_min, side="left"))
+    lo = int(np.searchsorted(slopes, 0.0, side="left"))
     hi = len(slopes) - int(np.searchsorted(-slopes[::-1], -s_max, side="left")) if s_max is not None else len(slopes)
     if hi < lo:  # all admissible slopes skipped: single kink vertex
         hi = lo
     vx, vy = hx[lo : hi + 1], hy[lo : hi + 1]
-    return _HullEnvelope(vx, vy, s_min, s_max if s_max is not None else slopes[-1] if len(slopes) else s_min)
+    return _HullEnvelope(vx, vy, 0.0, s_max if s_max is not None else slopes[-1] if len(slopes) else 0.0)
 
 
 def radial_envelope(h, axis: TAxis) -> RadialProfile:
@@ -193,7 +188,7 @@ def radial_envelope(h, axis: TAxis) -> RadialProfile:
     """
     h = np.asarray(h, dtype=np.float64)
     rho = fs_potential(axis).values
-    env = constrained_convex_envelope(axis.ts, h + rho, 0.0, 0.5)
+    env = constrained_convex_envelope(axis.ts, h + rho)
     return RadialProfile(axis, env(axis.ts))
 
 
@@ -325,9 +320,9 @@ def local_envelope_ball(h, axis: TAxis, mode: str) -> LocalEnvelope:
         strict = t_ball < 0.0
         if strict.sum() < 2:
             raise InfeasibleMask("need at least two interior samples")
-        env = constrained_convex_envelope(t_ball[strict], h_ball[strict], 0.0, None)
+        env = constrained_convex_envelope(t_ball[strict], h_ball[strict], s_max=None)
     else:
-        env = constrained_convex_envelope(t_ball, h_ball, 0.0, None)
+        env = constrained_convex_envelope(t_ball, h_ball, s_max=None)
     return LocalEnvelope(ts=t_ball, values=env(t_ball))
 
 

@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from ._newton import collect_reports
 from .energy import (
-    _quasi_triangle_checks,
     capacity,
     cap_convergence_metric,
     extremal_field,
     generalized_capacity,
+    quasi_triangle_check,
 )
 from .equations import perron_solve, pmin_compose, solve_ma_exponential
 from .errors import ConfigError, MaenvError, ScenarioFailure
@@ -122,9 +122,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.seed < 0:  # numpy's generators take nonnegative seeds only
             raise ConfigError(f"field 'seed' must be >= 0, got {self.seed}")
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        return ScenarioConfig(self.scenario, int(seed), self.params)
 
 
 def _coerce(key: str, raw: str, kind: str):
@@ -222,21 +219,16 @@ def _check_ranges(name: str, params: dict) -> None:
             f">= {_RADIAL_BALL_MIN_M} for scenario 'radial-ball' (its atom checks need that resolution)",
         )
     if "m" in params:
-        # the ball's atom and the point obstacle sit at t = 0, so the axis
-        # must sample it exactly
-        ts = TAxis(m=params["m"]).ts
-        if not (ts == 0.0).any():
-            raise ConfigError(
-                f"field 'm' must put a sample of the axis t_min + k*(t_max - t_min)/m exactly at t = 0, "
-                f"but the nearest one is t = {ts[np.abs(ts).argmin()]:.3g} (m = {params['m']})"
-            )
+        # the ball's atom and the point obstacle sit at t = 0, which the
+        # axis samples exactly when m is even
+        require(params["m"] % 2 == 0, "m", "even, so that the axis samples t = 0")
     if "obstacle_x0" in params:
         x0, x1 = params["obstacle_x0"], params["obstacle_x1"]
         require(0 <= x0 < x1, "obstacle_x0", "in [0, obstacle_x1)")
         require(x1 <= 1, "obstacle_x1", "<= 1")
     if "theta_amp" in params:  # extremal-contact's density must keep a positive mass
         try:
-            theta_cosine(TorusGrid(params["n"]), 1.0, params["theta_amp"])
+            theta_cosine(TorusGrid(params["n"]), amplitude=params["theta_amp"])
         except ValueError:
             raise ConfigError(
                 f"field 'theta_amp' must leave 1 + theta_amp*cos(2 pi x) a positive mass "
@@ -366,13 +358,13 @@ def _mixture_obstacle(grid, p):
     """Smooth + step mixture: a cosine capped by a band-shaped drop."""
     x, _ = grid.coords()
     smooth = p["smooth_amp"] * np.cos(2.0 * np.pi * x) + 0.1
-    _, lsc = step_band(grid, p["obstacle_x0"], p["obstacle_x1"], -1.0)
+    _, lsc = step_band(grid, p["obstacle_x0"], p["obstacle_x1"])
     return GridField(grid, np.minimum(smooth, lsc.values))
 
 
 def _scn_penalized_convergence(p, seed):
     grid = TorusGrid(p["n"])
-    theta = theta_cosine(grid, 1.0)
+    theta = theta_cosine(grid)
     v = _mixture_obstacle(grid, p)
     mu = MeasureDensity(constant_field(grid, 1.0))
     schedule = PenalizationSchedule(tuple(float(2**k) for k in range(p["j_max_log2"] + 1)))
@@ -403,13 +395,13 @@ def _scn_penalized_convergence(p, seed):
 def _scn_orthogonality(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
-    theta = theta_cosine(grid, 1.0)
+    theta = theta_cosine(grid)
     vol = theta.total_mass
     smooth = [
-        random_smooth_field(grid, rng, modes=3, amplitude=float(rng.uniform(0.2, 1.0)))
+        random_smooth_field(grid, rng, amplitude=float(rng.uniform(0.2, 1.0)))
         for _ in range(p["count"])
     ]
-    true_vals, lsc_vals = step_band(grid, 0.25, 0.75, -1.0)
+    true_vals, lsc_vals = step_band(grid, 0.25, 0.75)
     # the smooth obstacles and the step at n share one stack of sweeps
     *sols, step_sol = psor_envelopes(theta, [*smooth, lsc_vals])
     rows, worst = [], 0.0
@@ -420,8 +412,8 @@ def _scn_orthogonality(p, seed):
     step_defects = {p["n"]: orthogonality_defect(theta, true_vals, step_sol.u)}
     rows.append(("step", float(p["n"]), step_defects[p["n"]]))
     fine = TorusGrid(2 * p["n"])
-    th = theta_cosine(fine, 1.0)
-    true_vals, lsc_vals = step_band(fine, 0.25, 0.75, -1.0)
+    th = theta_cosine(fine)
+    true_vals, lsc_vals = step_band(fine, 0.25, 0.75)
     step_defects[fine.n] = orthogonality_defect(th, true_vals, psor_envelope(th, lsc_vals).u)
     rows.append(("step", float(fine.n), step_defects[fine.n]))
     ratio = step_defects[2 * p["n"]] / step_defects[p["n"]]
@@ -450,7 +442,7 @@ def _scn_min_principle(p, seed):
     rows = []
     for n in (p["n"], 2 * p["n"]):
         grid = TorusGrid(n)
-        theta = theta_cosine(grid, 1.0)
+        theta = theta_cosine(grid)
         pair_rng = np.random.default_rng(seed)  # same pairs at both resolutions
         max_defects, l1_defects = [], []
         for k in range(p["pairs"]):
@@ -487,7 +479,7 @@ def _scn_perron(p, seed):
     x, y = grid.coords()
     rows, checks = [], []
     for tag, theta_amp, mu_vals in _perron_configs(grid, x, y):
-        theta = theta_cosine(grid, 1.0, theta_amp)
+        theta = theta_cosine(grid, amplitude=theta_amp)
         mu = MeasureDensity(GridField(grid, mu_vals))
         exact, _ = solve_ma_exponential(theta, mu)
         members = []
@@ -526,7 +518,7 @@ def _scn_viscosity_pipeline(p, seed):
     residuals = {}
     for n in (p["n"] // 2, p["n"]):
         grid = TorusGrid(n)
-        theta = theta_cosine(grid, 1.0)
+        theta = theta_cosine(grid)
         for datum in supersolution_corpus(grid):
             res = supersolution_envelope_pipeline(theta, datum.v, datum.f, visc_tol=datum.gate_tol)
             rows.append(
@@ -550,7 +542,7 @@ def _scn_viscosity_pipeline(p, seed):
 
 def _scn_extremal_contact(p, seed):
     grid = TorusGrid(p["n"])
-    theta = theta_cosine(grid, 1.0, p["theta_amp"])
+    theta = theta_cosine(grid, amplitude=p["theta_amp"])
     vol = theta.total_mass
     sol = psor_envelope(theta, constant_field(grid, 0.0))
     vt = sol.u
@@ -588,15 +580,17 @@ def _sandwich_masks(grid, count, rng):
 def _scn_capacity_sandwich(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
-    theta = theta_cosine(grid, 1.0)
+    theta = theta_cosine(grid)
     vt = extremal_field(theta)
     rows = []
     worst = 0.0
     for k, mask in enumerate(_sandwich_masks(grid, p["masks"], rng)):
         base = capacity(theta, mask, "exact", vt).value
         for t in (1.0, 2.0, 5.0):
-            low = GridField(grid, vt.values - t)
-            gen = generalized_capacity(theta, low, vt, mask, "exact").value
+            if t == 1.0:  # the obstacle where(E, V - t, V) is base's own
+                gen = base
+            else:
+                gen = generalized_capacity(theta, GridField(grid, vt.values - t), vt, mask, "exact").value
             lo_defect = base - gen
             hi_defect = gen - t * base
             worst = max(worst, lo_defect, hi_defect)
@@ -611,7 +605,7 @@ def _scn_capacity_sandwich(p, seed):
 def _scn_quasi_triangle(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
-    theta = theta_cosine(grid, 1.0)
+    theta = theta_cosine(grid)
     p_values = (0.5, 1.0, 2.0)
     violations = 0
     worst = {pv: 0.0 for pv in p_values}
@@ -620,7 +614,7 @@ def _scn_quasi_triangle(p, seed):
         u = random_theta_psh(theta, rng)
         v = random_theta_psh(theta, rng)
         w = random_theta_psh(theta, rng)
-        for pv, r in zip(p_values, _quasi_triangle_checks(theta, u, v, w, p_values)):
+        for pv, r in zip(p_values, quasi_triangle_check(theta, u, v, w, p_values)):
             c_test[pv] = r.c_test
             violations += not r.passed
             if np.isfinite(r.ratio):
@@ -657,11 +651,11 @@ def _scn_local_envelopes(p, seed):
 def _scn_mass_bound(p, seed):
     rng = np.random.default_rng(seed)
     grid = TorusGrid(p["n"])
-    theta = theta_cosine(grid, 1.0)
+    theta = theta_cosine(grid)
     f_half = constant_field(grid, 0.5)
     found = 0
     for _ in range(p["seeds"]):
-        v = random_smooth_field(grid, rng, modes=3, amplitude=float(rng.uniform(0.05, 2.0)))
+        v = random_smooth_field(grid, rng, amplitude=float(rng.uniform(0.05, 2.0)))
         rep, _ = check_supersolution_visc(theta, v, f_half, tol=1e-8, exponential=False)
         found += rep.passed
     x, _ = grid.coords()

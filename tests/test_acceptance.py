@@ -75,7 +75,7 @@ def test_criterion_03_divergence_off_measure_support():
     start = time.perf_counter()
     grid = TorusGrid(128)
     theta = ThetaDensity(constant_field(grid, 1.0))
-    _, lsc = step_band(grid, 0.25, 0.75, -1.0)
+    _, lsc = step_band(grid, 0.25, 0.75)
     x, _ = grid.coords()
     supp = ~((x >= 0.25) & (x <= 0.75))
     mu = MeasureDensity(GridField(grid, supp.astype(float)))

@@ -299,7 +299,7 @@ class TestManifestReports:
 
     def test_solver_outside_a_run_records_nothing(self):
         grid = TorusGrid(8)
-        theta, h = theta_cosine(grid, 1.0), constant_field(grid, 0.0)
+        theta, h = theta_cosine(grid), constant_field(grid, 0.0)
         with _newton.collect_reports() as collected:
             psor_envelope(theta, h)
         assert len(collected) == 1
@@ -402,14 +402,6 @@ class TestCliRun:
         ]
         assert len(payload["reports"]) == 4  # two smooth and two step envelopes
 
-    def test_seed_override_from_environment(self, tmp_path, monkeypatch):
-        cfg_file = tmp_path / "qt.cfg"
-        cfg_file.write_text(smoke_text("quasi-triangle"))
-        monkeypatch.setenv("MAENV_SEED", "7")
-        out = tmp_path / "out"
-        assert main(["run", "quasi-triangle", "--config", str(cfg_file), "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 7
-
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_file_exits_two(self, tmp_path, capsys, kind):
         cfg_file = tmp_path / "perron.cfg"
@@ -447,14 +439,6 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert f"config error: cannot write {out / 'manifest.json'}" in err
         assert "Traceback" not in err
-
-    def test_bad_seed_override_exits_two(self, tmp_path, monkeypatch, capsys):
-        cfg_file = tmp_path / "qt.cfg"
-        cfg_file.write_text(smoke_text("quasi-triangle"))
-        monkeypatch.setenv("MAENV_SEED", "nope")
-        rc = main(["run", "quasi-triangle", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "MAENV_SEED" in capsys.readouterr().err
 
 
 class TestVerifyAll:

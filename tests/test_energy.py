@@ -107,22 +107,22 @@ class TestQuasiTriangle:
         rng = np.random.default_rng(8)
         u = random_psh(theta_one, rng)
         w = random_psh(theta_one, rng)
-        res = quasi_triangle_check(theta_one, u, u, w, 1.0)
+        (res,) = quasi_triangle_check(theta_one, u, u, w, (1.0,))
         assert res.lhs == 0.0 and res.passed
 
     def test_anchor_at_one_endpoint(self, theta_one):
         rng = np.random.default_rng(9)
         u = random_psh(theta_one, rng)
         v = random_psh(theta_one, rng)
-        res = quasi_triangle_check(theta_one, u, v, u, 1.0)
+        (res,) = quasi_triangle_check(theta_one, u, v, u, (1.0,))
         assert res.passed
         assert res.c_test > 1.0
 
     def test_constant_matches_stated_formula(self, theta_one):
         rng = np.random.default_rng(10)
         u, v, w = (random_psh(theta_one, rng) for _ in range(3))
-        for p in (0.5, 1.0, 2.0):
-            res = quasi_triangle_check(theta_one, u, v, w, p)
+        p_values = (0.5, 1.0, 2.0)
+        for p, res in zip(p_values, quasi_triangle_check(theta_one, u, v, w, p_values)):
             assert res.c_test == 2 ** (p + 1) + 3 * 2 ** (2 * p + 2)
 
     def test_random_suite(self, theta_one):
@@ -130,8 +130,7 @@ class TestQuasiTriangle:
         headroom = 0.0
         for _ in range(60):
             u, v, w = (random_psh(theta_one, rng) for _ in range(3))
-            for p in (0.5, 1.0, 2.0):
-                res = quasi_triangle_check(theta_one, u, v, w, p)
+            for res in quasi_triangle_check(theta_one, u, v, w, (0.5, 1.0, 2.0)):
                 assert res.passed
                 assert res.lhs <= res.rhs
                 headroom = max(headroom, res.ratio / res.c_test)
@@ -142,15 +141,15 @@ class TestQuasiTriangle:
     def test_all_p_check_equals_the_per_p_check(self, seed):
         # one density, gap and density sum per field or pair serves every p
         grid = TorusGrid(32)
-        theta = theta_cosine(grid, 1.0, 0.5)
+        theta = theta_cosine(grid, amplitude=0.5)
         rng = np.random.default_rng(seed)
         p_values = (0.5, 1.0, 2.0, 3.0)
         for _ in range(8):
             u, v, w = (random_theta_psh(theta, rng) for _ in range(3))
-            together = maenv.energy._quasi_triangle_checks(theta, u, v, w, p_values)
+            together = quasi_triangle_check(theta, u, v, w, p_values)
             assert len(together) == len(p_values)
             for p, res in zip(p_values, together):
-                alone = quasi_triangle_check(theta, u, v, w, p)
+                (alone,) = quasi_triangle_check(theta, u, v, w, (p,))
                 assert (res.lhs, res.rhs, res.ratio) == (alone.lhs, alone.rhs, alone.ratio)
                 assert (res.c_test, res.passed) == (alone.c_test, alone.passed)
                 assert (res.lhs, res.rhs, res.ratio) == quasi_triangle_reference(theta, u, v, w, p)
@@ -319,7 +318,7 @@ class TestExactCapacityMatchesLp:
     @pytest.mark.parametrize("n", [16, 24, 32])
     def test_sandwich_and_site_masks(self, n):
         grid = TorusGrid(n)
-        theta = theta_cosine(grid, 1.0)
+        theta = theta_cosine(grid)
         v = extremal_field(theta)
         masks = _sandwich_masks(grid, 4, np.random.default_rng(n)) + site_masks(n)
         for mask in masks:
@@ -330,7 +329,7 @@ class TestExactCapacityMatchesLp:
     def test_random_admissible_lows_on_a_cosine_density(self, n):
         # a theta-psh field <= 0 lies below V_theta, so it is an admissible low
         grid = TorusGrid(n)
-        theta = theta_cosine(grid, 1.0, 0.8)
+        theta = theta_cosine(grid, amplitude=0.8)
         v = extremal_field(theta)
         rng = np.random.default_rng(100 + n)
         for _ in range(4):

@@ -210,7 +210,7 @@ def test_cached_colour_split_is_read_only():
 
 
 def crossing_min(grid, seed):
-    theta = theta_cosine(grid, 1.0)
+    theta = theta_cosine(grid)
     rng = np.random.default_rng(seed)
     u, w = (random_theta_psh(theta, rng).values for _ in range(2))
     return np.minimum(u - u.mean(), w - w.mean())
@@ -228,11 +228,11 @@ def null_band_mask(n):
 CROSS_CHECK_CASES = (
     [
         (f"smooth-{seed}", lambda g, seed=seed: random_smooth_field(
-            g, np.random.default_rng(seed), modes=3, amplitude=0.2 + 0.4 * seed
+            g, np.random.default_rng(seed), amplitude=0.2 + 0.4 * seed
         ).values, None)
         for seed in (0, 1, 2)
     ]
-    + [("step-band", lambda g: step_band(g, 0.25, 0.75, -1.0)[1].values, None)]
+    + [("step-band", lambda g: step_band(g, 0.25, 0.75)[1].values, None)]
     + [(f"crossing-{seed}", lambda g, seed=seed: crossing_min(g, seed), None) for seed in (0, 1)]
     + [("mu-mask", lambda g: smooth_obstacle(g.n), null_band_mask)]
     + [
@@ -264,7 +264,7 @@ class TestActiveSetFinishMatchesPsor:
 
     def check(self, n, make_obstacle, make_mask):
         grid = TorusGrid(n)
-        theta = theta_cosine(grid, 1.0)  # the scenarios' theta
+        theta = theta_cosine(grid)  # the scenarios' theta
         h = GridField(grid, make_obstacle(grid))
         mask = None if make_mask is None else make_mask(n)
         sol = self.solve(theta, h, mask)
@@ -341,7 +341,7 @@ class TestCoarseStartGuards:
 
     def test_missed_budget_gives_the_constant_start(self, monkeypatch):
         n = 64
-        theta = theta_cosine(TorusGrid(n), 1.0)
+        theta = theta_cosine(TorusGrid(n))
         h = GridField(theta.grid, crossing_min(theta.grid, 0))
         with monkeypatch.context() as m:
             m.setattr(obstacle, "_COARSE_MIN_N", n + 1)
@@ -357,7 +357,7 @@ class TestCoarseStartGuards:
     # the constant; n = 68 takes one coarse level at 34, which stops there
     @pytest.mark.parametrize("n, coarse", [(34, False), (68, True)])
     def test_half_grid_without_colouring(self, n, coarse):
-        theta = theta_cosine(TorusGrid(n), 1.0)
+        theta = theta_cosine(TorusGrid(n))
         h = GridField(theta.grid, crossing_min(theta.grid, 0))
         sol = psor_envelope(theta, h, tol=1e-9)
         want, want_res = TestActiveSetFinishMatchesPsor.reference(theta.density.values, h.values)
@@ -421,7 +421,7 @@ class TestStackedSweepsMatchSolo:
 
         monkeypatch.setattr(obstacle, "_psor_values", counting)
         grid = TorusGrid(64)
-        theta = theta_cosine(grid, 1.0)
+        theta = theta_cosine(grid)
         obstacles = [GridField(grid, case[1](grid)) for case in STACK_CASES]
         masks = [None if case[2] is None else case[2](grid.n) for case in STACK_CASES]
         stacked, alone = solve_stack_and_alone(theta, obstacles, masks, tol=1e-9)
@@ -457,7 +457,7 @@ class TestStackedSweepsMatchSolo:
         assert str(exc.value) == str(solo.value)
 
     def test_grids_other_than_thetas_are_rejected(self):
-        theta = theta_cosine(TorusGrid(64), 1.0)
+        theta = theta_cosine(TorusGrid(64))
         h = GridField(theta.grid, smooth_obstacle(64))
         with pytest.raises(ValueError, match="grids differ"):
             psor_envelopes(theta, [h, GridField(TorusGrid(32), smooth_obstacle(32))])
@@ -473,7 +473,7 @@ METAMORPHIC_CASES = [(n, seed) for n in (16, 32) for seed in (0, 1, 2)]
 def seeded_obstacle(n, seed):
     grid = TorusGrid(n)
     rng = np.random.default_rng(seed)
-    return grid, rng, random_smooth_field(grid, rng, modes=3, amplitude=1.0).values
+    return grid, rng, random_smooth_field(grid, rng, amplitude=1.0).values
 
 
 def tight_envelope(theta, values):
@@ -486,7 +486,7 @@ class TestEnvelopeMetamorphic:
     @pytest.mark.parametrize("n, seed", METAMORPHIC_CASES)
     def test_constants_pass_through(self, n, seed):
         grid, rng, h = seeded_obstacle(n, seed)
-        theta = theta_cosine(grid, 1.0, 0.5)
+        theta = theta_cosine(grid, amplitude=0.5)
         c = float(rng.uniform(-2.0, 2.0))
         gap = tight_envelope(theta, h + c) - (tight_envelope(theta, h) + c)
         assert np.abs(gap).max() <= 1e-9
@@ -503,15 +503,15 @@ class TestEnvelopeMetamorphic:
     @pytest.mark.parametrize("n, seed", METAMORPHIC_CASES)
     def test_monotone_in_the_obstacle(self, n, seed):
         grid, rng, h = seeded_obstacle(n, seed)
-        theta = theta_cosine(grid, 1.0, 0.5)
-        lift = random_smooth_field(grid, rng, modes=2, amplitude=0.5).values
+        theta = theta_cosine(grid, amplitude=0.5)
+        lift = random_smooth_field(grid, rng, amplitude=0.5).values
         higher = h + (lift - lift.min())
         assert np.all(tight_envelope(theta, h) <= tight_envelope(theta, higher) + 1e-9)
 
     @pytest.mark.parametrize("n, seed", METAMORPHIC_CASES)
     def test_output_is_admissible_and_below_the_obstacle(self, n, seed):
         grid, _, h = seeded_obstacle(n, seed)
-        theta = theta_cosine(grid, 1.0, 0.5)
+        theta = theta_cosine(grid, amplitude=0.5)
         u = tight_envelope(theta, h)
         assert np.all(u <= h)
         assert is_theta_psh(theta, GridField(grid, u), 1e-9).passed

@@ -54,7 +54,7 @@ def mu_one(grid):
 
 @pytest.fixture(scope="module")
 def phi_exact(grid, theta_one, mu_one):
-    phi, report = solve_ma_exponential(theta_one, mu_one, beta=1.0)
+    phi, report = solve_ma_exponential(theta_one, mu_one)
     assert report.converged
     return phi
 
@@ -65,7 +65,7 @@ class TestExponentialSolve:
 
     def test_constant_solution_minus_one(self, grid, theta_one):
         mu = MeasureDensity(constant_field(grid, float(np.e)))
-        phi, _ = solve_ma_exponential(theta_one, mu, beta=1.0)
+        phi, _ = solve_ma_exponential(theta_one, mu)
         assert np.abs(phi.values + 1.0).max() < 1e-12
 
     def test_x_only_data_against_pseudospectral_oracle(self):
@@ -82,16 +82,12 @@ class TestExponentialSolve:
             mu = MeasureDensity(
                 field_from_function(g, lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x))
             )
-            phi, _ = solve_ma_exponential(th, mu, beta=1.0)
+            phi, _ = solve_ma_exponential(th, mu)
             assert np.abs(phi.values - phi.values[:, :1]).max() < 1e-9  # y-invariant
             errs[n] = np.abs(phi.values[:, 0] - oracle[:: m // n]).max()
         assert errs[256] < 5e-6
         assert errs[512] < 1.5e-6
         assert 0.15 < errs[512] / errs[256] < 0.4
-
-    def test_beta_validation(self, theta_one, mu_one):
-        with pytest.raises(ValueError):
-            solve_ma_exponential(theta_one, mu_one, beta=0.0)
 
 
 class TestMinComposition:
@@ -185,12 +181,12 @@ class TestPerron:
         for frac in (0.25, 0.5, 1.0):
             mask = (ys < frac) & (mu_vals.values > 0)
             restricted = MeasureDensity(GridField(g, np.where(mask, mu_vals.values, 0.0)))
-            psi, _ = solve_ma_exponential(th, restricted, beta=1.0)
+            psi, _ = solve_ma_exponential(th, restricted)
             members.append(psi)
         ratio_min = float((1.0 / mu_vals.values).min())
         u0 = constant_field(g, float(np.log(ratio_min) - 0.1))
         out, history = perron_solve(th, mu, members, u0)
-        direct, _ = solve_ma_exponential(th, mu, beta=1.0)
+        direct, _ = solve_ma_exponential(th, mu)
         assert np.abs(out.values - direct.values).max() < 1e-3
         for member in members:
             assert (out.values <= member.values + 1e-8).all()
@@ -284,8 +280,7 @@ class TestNewtonMatchesDirectReference:
         theta = ThetaDensity(field_from_function(grid, lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * y)))
         mu = MeasureDensity(field_from_function(grid, lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x)))
         pairs = self.calls_against_reference(monkeypatch, maenv.equations)
-        for beta in (1.0, 8.0):
-            solve_ma_exponential(theta, mu, beta=beta)
+        solve_ma_exponential(theta, mu)
         self.assert_match(pairs)
 
     def test_two_measure_solve(self):

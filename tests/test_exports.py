@@ -1,6 +1,9 @@
-"""Every library module's ``__all__`` names real objects that ``maenv`` re-exports,
-and ``import maenv`` loads no scipy subpackage the library does not use."""
+"""Every library module's ``__all__`` names real objects that ``maenv`` re-exports
+and every name ``maenv`` re-exports from it, ``maenv.scenarios`` imports only
+public names, and ``import maenv`` loads no scipy subpackage the library does
+not use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -22,6 +25,38 @@ def test_all_names_exist_and_are_reexported(name):
     assert not missing, f"maenv.{name}.__all__ lists undefined names {missing}"
     absent = [x for x in module.__all__ if getattr(maenv, x, None) is not getattr(module, x)]
     assert not absent, f"maenv does not re-export {absent} from maenv.{name}"
+
+
+def _relative_imports(module):
+    """(module name, imported names) of each ``from .x import ...`` in a maenv module's source."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return [
+        (node.module, [alias.name for alias in node.names])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_reexported_names_are_in_all(name):
+    module = importlib.import_module(f"maenv.{name}")
+    reexported = [x for source, names in _relative_imports(maenv) if source == name for x in names]
+    assert reexported, f"maenv re-exports nothing from maenv.{name}"
+    unlisted = [x for x in reexported if x not in module.__all__]
+    assert not unlisted, f"maenv re-exports {unlisted}, which maenv.{name}.__all__ does not list"
+
+
+def test_scenarios_import_only_public_names():
+    import maenv.scenarios
+
+    # dunder metadata such as ``from . import __version__`` is public
+    private = [
+        f"{source}.{x}"
+        for source, names in _relative_imports(maenv.scenarios)
+        for x in names
+        if x.startswith("_") and not x.endswith("__")
+    ]
+    assert not private, f"maenv.scenarios imports private names {private}"
 
 
 def test_import_loads_no_unused_scipy_subpackage():

@@ -16,7 +16,6 @@ from maenv import (
     radial_envelope,
     radial_ma_mass,
 )
-from maenv.errors import OrderViolation
 from maenv.radial import _lower_hull, _window_median
 from maenv.scenarios import parse_config_text, run_scenario
 
@@ -29,11 +28,9 @@ def sigma(t):
 
 class TestAxisAndProfile:
     def test_axis_validation(self):
-        TAxis(-40.0, 40.0, 4096)
+        TAxis(m=4096)
         with pytest.raises(ValueError):
-            TAxis(1.0, 40.0, 128)  # must straddle t = 0
-        with pytest.raises(ValueError):
-            TAxis(-40.0, 40.0, 32)  # too coarse
+            TAxis(m=32)  # too coarse
 
     def test_zero_is_a_sample_where_the_offset_form_misses_it(self):
         # t_min + k*dt rounds past 0.0 at k = 1263 for m = 2526
@@ -46,14 +43,14 @@ class TestAxisAndProfile:
         assert np.array_equal(axis.ts, axis.t_min + axis.dt * np.arange(axis.m))
 
     def test_profile_rejects_out_of_range_slopes(self):
-        axis = TAxis(-10.0, 10.0, 128)
+        axis = TAxis(m=128)
         with pytest.raises(ValueError):
             RadialProfile(axis, 0.6 * axis.ts)  # slope above 1/2
         with pytest.raises(ValueError):
             RadialProfile(axis, -0.1 * axis.ts)  # decreasing
 
     def test_profile_rejects_nonconvex_values(self):
-        axis = TAxis(-10.0, 10.0, 128)
+        axis = TAxis(m=128)
         bump = 0.25 * axis.ts + 0.2 * np.sin(axis.ts)
         with pytest.raises(ValueError):
             RadialProfile(axis, bump)
@@ -101,7 +98,7 @@ class TestConstrainedConvexEnvelope:
         # integer axis have exactly collinear runs, where the scan pops on
         # equality, and the others exercise rounding in the orientation test
         rng = np.random.default_rng(7)
-        ts = TAxis(-40.0, 40.0, 4096).ts
+        ts = TAxis(m=4096).ts
         ints = np.arange(-2048.0, 2048.0)
         knots = np.sort(rng.choice(ints, 8, replace=False))
         profiles = [
@@ -120,11 +117,6 @@ class TestConstrainedConvexEnvelope:
             assert np.array_equal(got, want)
         # collinear runs keep only their end points
         assert np.array_equal(_lower_hull(ints, np.abs(ints)), [0, 2048, 4095])
-
-    def test_crossed_slope_bounds_raise(self):
-        ts = np.linspace(-1.0, 1.0, 128)
-        with pytest.raises(OrderViolation):
-            constrained_convex_envelope(ts, np.abs(ts), s_min=0.4, s_max=0.1)
 
 
 class TestRadialMeasure:

@@ -26,7 +26,7 @@ def setup():
     grid = TorusGrid(64)
     theta = ThetaDensity(constant_field(grid, 1.0))
     f = field_from_function(grid, lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x))
-    phi, report = solve_ma_exponential(theta, MeasureDensity(f), beta=1.0)
+    phi, report = solve_ma_exponential(theta, MeasureDensity(f))
     assert report.converged
     return grid, theta, f, phi
 
@@ -88,7 +88,7 @@ class TestPipeline:
             grid = TorusGrid(n)
             theta = ThetaDensity(constant_field(grid, 1.0))
             f = field_from_function(grid, lambda x, y: 1.0 + 0.5 * np.cos(2 * np.pi * x))
-            phi, _ = solve_ma_exponential(theta, MeasureDensity(f), beta=1.0)
+            phi, _ = solve_ma_exponential(theta, MeasureDensity(f))
             x = np.arange(n) / n
             v1 = GridField(grid, phi.values + 0.30 + 0.02 * np.cos(2 * np.pi * x)[:, None])
             v2 = GridField(grid, phi.values + 0.25 + 0.02 * np.sin(2 * np.pi * x)[None, :])
@@ -123,7 +123,7 @@ class TestMassBound:
     def test_heavy_data_admits_a_supersolution(self, setup):
         grid, theta, f, phi = setup
         f2 = constant_field(grid, 2.0 * theta.total_mass)
-        psi, _ = solve_ma_exponential(theta, MeasureDensity(f2), beta=1.0)
+        psi, _ = solve_ma_exponential(theta, MeasureDensity(f2))
         assert check_supersolution_visc(theta, psi, f2)[0].passed
 
     def test_light_data_defeats_a_random_search(self):
