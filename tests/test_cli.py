@@ -278,6 +278,17 @@ class TestManifestReports:
             "coarse_sweeps",
         }
 
+    def test_sandwich_takes_the_base_capacity_at_t_one(self, tmp_path):
+        # per mask: the base capacity and the generalized ones at t = 2, 5;
+        # at t = 1 the obstacle is base's own, so no solve is repeated
+        run_scenario(parse_config_text(smoke_text("capacity-sandwich")), tmp_path)
+        assert len(manifest_reports(tmp_path)) == 1 + 3 * 2  # V_theta, then two masks
+        lines = (tmp_path / "sandwich.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        at_one = [r for r in rows if r["t"] == "1"]
+        assert len(at_one) == 2
+        assert all(r["generalized_cap"] == r["cap"] for r in at_one)
+
     def test_failed_newton_solve_is_listed(self, tmp_path):
         with pytest.raises(ScenarioFailure, match="NewtonStall"):
             run_scenario(parse_config_text(STALLING_CFG), tmp_path)
@@ -401,6 +412,16 @@ class TestCliRun:
             "smooth_defects_vanish", "step_defect_floor", "step_defect_stable"
         ]
         assert len(payload["reports"]) == 4  # two smooth and two step envelopes
+
+    @pytest.mark.parametrize("value", ["7", "nope"])
+    def test_config_seed_is_the_only_seed(self, tmp_path, monkeypatch, value):
+        # an environment variable of the former override changes nothing
+        cfg_file = tmp_path / "qt.cfg"
+        cfg_file.write_text(smoke_text("quasi-triangle"))
+        monkeypatch.setenv("MAENV_SEED", value)
+        out = tmp_path / "out"
+        assert main(["run", "quasi-triangle", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_file_exits_two(self, tmp_path, capsys, kind):

@@ -32,6 +32,21 @@ class TestAxisAndProfile:
         with pytest.raises(ValueError):
             TAxis(m=32)  # too coarse
 
+    def test_extent_is_fixed(self):
+        axis = TAxis(m=128)
+        assert (axis.ts[0], axis.ts[-1] + axis.dt) == (-40.0, 40.0)
+        with pytest.raises(TypeError):
+            TAxis(-10.0, 10.0, 128)  # the extent is no longer a field
+
+    def test_zero_is_sampled_exactly_when_m_is_even(self):
+        # the samples are those of the former symmetric-axis form, so the
+        # config's "m is even" rule accepts exactly the axes it accepted
+        for m in range(64, 20001, 7):
+            axis = TAxis(m=m)
+            old = (np.arange(m) - m * 40.0 / 80.0) * (80.0 / m)
+            assert np.array_equal(axis.ts, old)
+            assert (0.0 in axis.ts) == (m % 2 == 0)
+
     def test_zero_is_a_sample_where_the_offset_form_misses_it(self):
         # t_min + k*dt rounds past 0.0 at k = 1263 for m = 2526
         axis = TAxis(m=2526)

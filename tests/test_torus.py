@@ -240,6 +240,16 @@ class TestNeighborTable:
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
+def test_amplitudes_are_keyword_only():
+    # a stale positional base (or modes) argument fails instead of being read as the amplitude
+    grid = TorusGrid(8)
+    with pytest.raises(TypeError):
+        theta_cosine(grid, 1.0)
+    with pytest.raises(TypeError):
+        random_smooth_field(grid, np.random.default_rng(0), 3)
+    assert theta_cosine(grid, amplitude=0.5).density.values.mean() == pytest.approx(1.0)
+
+
 class TestRandomSmoothFieldMatchesLoop:
     # n = 8, the smallest grid, holds the rows kx % 8 of kx = -3..3 apart
     @pytest.mark.parametrize("n", [8, 16, 64])
