@@ -29,8 +29,9 @@ consecutive steps differ only in the diagonal.  If CG does not reach the
 relative residual ``_CG_RTOL`` within ``_CG_MAXITER`` iterations, the current
 matrix is factored and solved directly, and that factorization preconditions
 the steps after it.  The CG loop, :func:`conjugate_gradients`, is shared with
-the obstacle solver's free-set solves; its dot products avoid BLAS, so a
-solve gives the same bits at any BLAS thread count.
+the obstacle solver's free-set solves and their contact-boundary systems;
+its dot products avoid BLAS, so a solve gives the same bits at any BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -59,19 +60,24 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a, b))
 
 
-def conjugate_gradients(matvec, b, precondition, rtol, maxiter):
+def conjugate_gradients(matvec, b, precondition, rtol, maxiter, x0=None):
     """Preconditioned conjugate gradients for a symmetric positive definite system.
 
-    Starts from x = 0 and stops once the residual norm is at most ``rtol``
-    times that of ``b``.  ``matvec`` applies the operator and
+    Starts from ``x0`` (default 0) and stops once the residual norm is at
+    most ``rtol`` times that of ``b``, before the first iteration if the
+    start already passes.  ``matvec`` applies the operator and
     ``precondition`` the preconditioner's inverse.  Returns ``(x,
     iterations, converged)``.
     """
-    x = np.zeros_like(b)
     stop = rtol * np.sqrt(_dot(b, b))
-    if stop == 0.0:
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = x0.copy()
+        r = b - matvec(x)
+    if np.sqrt(_dot(r, r)) <= stop:
         return x, 0, True
-    r = b.copy()
     z = precondition(r)
     p = z
     rz = _dot(r, z)
@@ -99,7 +105,9 @@ class SolverReport:
     ``factorizations`` and ``cg_iterations`` count the work of Newton's
     linear solves.  For PSOR, ``iterations`` counts sweeps,
     ``coarse_sweeps`` the sweeps of its coarse-grid start (0 for Newton),
-    ``cg_iterations`` the CG iterations of its active-set steps, and
+    ``cg_iterations`` the CG iterations of its active-set steps, those of
+    the contact-boundary systems that start the large free-set solves (kb
+    unknowns each) plus those of the free-set solves themselves, and
     ``factorizations`` stays 0.  Inside :func:`collect_reports` every
     report appends itself to the collected list when it is built.
     """

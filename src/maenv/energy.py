@@ -200,7 +200,7 @@ def _exact_capacity(theta, mask, low, high, solution, value):
     th = theta.density.values
     ind = mask.astype(float)
     free = ~(mask | solution.contact_mask)
-    q, _ = _free_set_solve(ind, np.zeros_like(th), grid.h, free.ravel())
+    q, _ = _free_set_solve(ind, np.zeros_like(th), grid.h, free)
     np.maximum(q, 0.0, out=q)
     z = curvature_values(q, grid.h)
     dual = grid.h**2 * (

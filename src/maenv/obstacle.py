@@ -22,10 +22,13 @@ Two independent routes to the same envelope:
   sweeps stop and primal-dual active-set steps (Hintermueller, Ito &
   Kunisch, SIAM J. Optim. 13, 2003) finish the solve: each fixes u = h on
   a contact set and solves the equation on the free sites by conjugate
-  gradients, preconditioned by an FFT division by the stencil's Fourier
-  symbol when the free set is large.  If no step certifies the tolerance,
-  the sweeps resume.  The active-set steps and resumed sweeps take one
-  problem at a time.
+  gradients.  When the free set is large, that CG is preconditioned by an
+  FFT division by the stencil's Fourier symbol and starts from the exact
+  solve reduced to the contact set's boundary, point sources there
+  through the periodic Green's function (the capacitance-matrix method),
+  which leaves it at most a few iterations.  If no step certifies the
+  tolerance, the sweeps resume.  The active-set steps and resumed sweeps
+  take one problem at a time.
 
 * :func:`penalized_step` solves the smooth penalized equation
 
@@ -52,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from ._newton import SolverReport, _curvature_operators, conjugate_gradients, newton_semilinear
+from ._newton import SolverReport, _curvature_operators, _dot, conjugate_gradients, newton_semilinear
 from .errors import EmptySupport, NonConvergence
 from .torus import (
     GridField,
@@ -75,6 +78,16 @@ _CG_MAXITER = 500  # CG iterations per free-set solve
 # obstacle-lcp and small-mixed benchmark workloads (2-vCPU VM, one BLAS
 # thread) the solve time totals 0.21 s at 0.25, 0.32 s at 0.1 and 0.37 s at 0.
 _FFT_MIN_FREE = 0.25
+# Largest contact boundary whose system starts a free-set solve: its block
+# takes kb^2 entries and each of its CG iterations kb^2 products.  Timed
+# against the zero start on random, disc and blob contact sets (2-vCPU VM,
+# one BLAS thread), the boundary start took 0.2-0.8 of the time up to
+# kb = 420 at n = 64 and 520 at n = 128, and 1.0-2.7 times it from
+# kb = 720 (n = 128) and 820 (n = 64).
+_BOUNDARY_MAX_SITES = 400
+# CG iterations of the boundary system before the solve starts from zero;
+# below the size bound those timings took at most 62
+_BOUNDARY_MAXITER = 100
 _COARSE_MIN_N = 32  # smallest grid whose sweeps start from the half grid
 _COARSE_BUDGET = 4  # sweeps per grid line allowed on each coarse level
 
@@ -323,35 +336,149 @@ def _nested_sweeps(theta, hproj, mask, tol, max_iter):
 
 
 @lru_cache(maxsize=None)
-def _inverse_symbol(n):
-    """Reciprocal Fourier symbol of -curvature on the rfft2 modes of an n x n grid.
+def _green(n):
+    """Periodic Green's function G of -curvature on an n x n grid: the pseudo-inverse of -C.
 
-    The eigenvalue of mode (k, l) is (4 - 2 cos(2 pi k/n) - 2 cos(2 pi l/n))
-    / (2 pi h^2).  The constant mode's zero is replaced by the first nonzero
-    eigenvalue, which keeps the preconditioner positive definite.  The table
-    is cached per n and read-only.
+    Returns ``(symbol, kernel)``.  ``symbol`` is the reciprocal Fourier
+    symbol of -curvature on the rfft2 modes: the eigenvalue of mode (k, l)
+    is (4 - 2 cos(2 pi k/n) - 2 cos(2 pi l/n)) / (2 pi h^2), and the
+    constant mode's zero gets the entry 0.  ``kernel`` is G's column at site
+    0, one inverse FFT of the symbol, laid out by offset:
+    ``kernel[di + n - 1, dj + n - 1]`` is its value at (di mod n, dj mod n)
+    for -n < di, dj < n, so G[a, b] is the kernel at the offset a - b.  Then
+    G (-C) = I - 1/n^2.  Cached per n and read-only.
     """
     h = 1.0 / n
     d = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
     lam = (d[:, None] + d[None, : n // 2 + 1]) / (2.0 * np.pi * h * h)
-    lam[0, 0] = lam[1, 0]
-    inv = 1.0 / lam
+    lam[0, 0] = 1.0
+    symbol = 1.0 / lam
+    symbol[0, 0] = 0.0
+    kernel = np.pad(np.fft.irfft2(symbol, s=(n, n)), ((n - 1, 0), (n - 1, 0)), mode="wrap")
+    for arr in (symbol, kernel):
+        arr.flags.writeable = False
+    return symbol, kernel
+
+
+@lru_cache(maxsize=None)
+def _inverse_symbol(n):
+    """The FFT preconditioner: :func:`_green`'s symbol, the constant mode at 1 / lam[1, 0].
+
+    Replacing the constant mode's zero eigenvalue by the first nonzero one
+    keeps the preconditioner positive definite.  Cached per n and read-only.
+    """
+    inv = _green(n)[0].copy()
+    inv[0, 0] = inv[1, 0]
     inv.flags.writeable = False
     return inv
+
+
+def _apply_green(symbol, f):
+    """G f for a grid f, by one FFT pair."""
+    return np.fft.irfft2(np.fft.rfft2(f) * symbol, s=f.shape)
+
+
+def _boundary_start(r, free):
+    """The free-set correction from the contact-boundary (capacitance) system.
+
+    Solves (-C e)_F = r on the free sites F, e = 0 on the contact sites,
+    through point sources on the contact boundary B, the contact sites with
+    a free neighbour (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8,
+    1971; Proskurowski & Widlund, Math. Comp. 30, 1976).  With r extended by
+    0 and G the periodic Green's function of -C (:func:`_green`), the field
+    e = G(r + sigma) + c satisfies the free-set equation for any sources
+    sigma on B with sum(sigma) = -sum(r), and vanishes on B, which holds
+    every contact neighbour of F, when
+
+        G_BB sigma + c = -(G r)_B.
+
+    With sigma = sigma_0 + tau, sigma_0 the mean charge, this is CG on the
+    mean-zero tau, where G_BB is positive definite.  Its operator is an
+    einsum product with the gathered kb x kb block, and its preconditioner
+    the B block of -C, gathered from the rows of the cached sparse -C:
+    G_BB acts on the boundary like a single-layer potential, whose inverse
+    the local -C_BB approximates (it cuts the block's condition number on
+    the mean-zero subspace 2-3 fold, 68 -> 30 at kb = 284).  Neither calls
+    BLAS, so a solve gives the same bits at any thread count.  c is the
+    mean of what is left.  CG stops once its residual, the value of e on B,
+    is at most ``_CG_RTOL`` |r| in the units of the free-set residual it
+    feeds (a neighbour's weight 1 / (2 pi h^2)): an absolute stop, which a
+    nearly zero projected right-hand side cannot put out of reach.
+    ``free`` flags the free sites of the n x n grid.  Returns ``(e,
+    iterations)`` with e on the free sites, or ``(None, iterations)`` when
+    B is empty or has more than ``_BOUNDARY_MAX_SITES`` sites, or CG misses
+    ``_BOUNDARY_MAXITER``.
+    """
+    n = free.shape[0]
+    boundary = np.flatnonzero(~free & neighbor_sum(free))
+    kb = boundary.size
+    if not 0 < kb <= _BOUNDARY_MAX_SITES:
+        return None, 0
+    symbol, kernel = _green(n)
+    # G_BB: the kernel at the offsets between boundary sites, as flat
+    # indices into the (2n - 1)-wide kernel, whose offset 0 sits at origin
+    bi, bj = np.divmod(boundary, n)
+    key = bi * (2 * n - 1) + bj
+    origin = (n - 1) * 2 * n
+    block = np.empty((kb, kb))
+    for i in range(0, kb, 64):
+        # 64 rows at a time: a whole kb x kb index array next to the block
+        # costs fresh pages twice, 2x the build time at kb = 284
+        kernel.take(np.subtract.outer(key[i : i + 64] + origin, key), out=block[i : i + 64])
+    # -C_BB: the rows of B in the cached -C, five entries each on a grid of
+    # n >= 3, with the columns off B sent to a zero appended to the vector
+    neg = _curvature_operators(n)[0]
+    position = np.full(n * n, kb)
+    position[boundary] = np.arange(kb)
+    cols = position.take(neg.indices.reshape(-1, 5).take(boundary, axis=0))
+    weights = neg.data.reshape(-1, 5).take(boundary, axis=0)
+    padded = np.zeros(kb + 1)
+
+    def project(v):
+        v -= v.sum() / kb
+        return v
+
+    def matvec(t):
+        return project(np.einsum("ij,j->i", block, t))
+
+    def precondition(t):
+        padded[:kb] = t
+        return project(np.einsum("ij,ij->i", weights, padded.take(cols)))
+
+    f = np.zeros((n, n))
+    f[free] = r
+    sigma0 = -r.sum() / kb
+    g = -_apply_green(symbol, f).ravel().take(boundary)
+    g -= sigma0 * block.sum(axis=1)
+    rhs = project(g.copy())
+    norm = np.sqrt(_dot(rhs, rhs))
+    stop = _CG_RTOL * 2.0 * np.pi * np.sqrt(_dot(r, r)) / (n * n)
+    tau, its, ok = conjugate_gradients(
+        matvec, rhs, precondition, stop / norm if norm else 0.0, _BOUNDARY_MAXITER
+    )
+    if not ok:
+        return None, its
+    c = (g - np.einsum("ij,j->i", block, tau)).sum() / kb
+    f.ravel()[boundary] = sigma0 + tau
+    return _apply_green(symbol, f)[free] + c, its
 
 
 def _free_set_solve(u, theta, h, free):
     """Solve theta + curvature(u) = 0 on the free sites, u fixed elsewhere.
 
     Conjugate gradients on the free sites' correction, with the free-set
-    block of the cached -C of :func:`_curvature_operators` as the operator.
-    When the free set holds at least ``_FFT_MIN_FREE`` of the sites, CG is
-    preconditioned by the periodic inverse of -curvature (an FFT division)
-    restricted to the free set; on a smaller free set, thin strips between
-    contact regions, the Dirichlet data already bound the condition number
-    and plain CG needs fewer operations.  ``free`` flags the free sites of
-    the flattened grid.  Returns the new field and the number of CG
-    iterations.
+    block of the cached -C of :func:`_curvature_operators` as the operator,
+    to the relative residual ``_CG_RTOL``.  When the free set holds at least
+    ``_FFT_MIN_FREE`` of the sites, CG starts from the correction of the
+    contact-boundary system (:func:`_boundary_start`), exact up to that
+    system's own CG, and is preconditioned by the periodic inverse of
+    -curvature (an FFT division) restricted to the free set; it starts from
+    zero when the boundary is too large or its CG misses its cap.  On a
+    smaller free set, thin strips between contact regions, the Dirichlet
+    data already bound the condition number and plain CG from zero needs
+    fewer operations.  ``free`` flags the free sites of the n x n grid.
+    Returns the new field and the number of CG iterations, the boundary
+    system's included.
     """
     n = u.shape[0]
     idx = np.flatnonzero(free)
@@ -359,6 +486,7 @@ def _free_set_solve(u, theta, h, free):
     r = curvature_values(u, h)
     r += theta
     r = r.ravel()[idx]
+    start, boundary_its = None, 0
     if idx.size >= _FFT_MIN_FREE * n * n:
         inv = _inverse_symbol(n)
         grid = np.zeros(n * n)
@@ -368,12 +496,13 @@ def _free_set_solve(u, theta, h, free):
             z = np.fft.irfft2(np.fft.rfft2(grid.reshape(n, n)) * inv, s=(n, n))
             return z.ravel()[idx]
 
+        start, boundary_its = _boundary_start(r, free)
     else:
         precondition = np.copy
-    e, its, _ = conjugate_gradients(op.dot, r, precondition, _CG_RTOL, _CG_MAXITER)
+    e, its, _ = conjugate_gradients(op.dot, r, precondition, _CG_RTOL, _CG_MAXITER, start)
     out = u.copy()
     out.ravel()[idx] += e
-    return out, its
+    return out, boundary_its + its
 
 
 def _active_set_finish(u, theta, hproj, mask, tol, history):
@@ -398,7 +527,7 @@ def _active_set_finish(u, theta, hproj, mask, tol, history):
         if not contact.any():
             break
         u = np.where(contact, hproj, u)
-        u, its = _free_set_solve(u, theta, h, ~contact.ravel())
+        u, its = _free_set_solve(u, theta, h, ~contact)
         cg_iterations += its
         res = _natural_residual(u, hproj, theta, h)
         history.append(res)
@@ -435,7 +564,8 @@ def psor_envelopes(
     is left of ``max_iter`` sweeps.  Each report's ``iterations`` counts
     the sweeps on this grid, ``coarse_sweeps`` those on the coarse levels,
     which have their own budget and add no report, and ``cg_iterations``
-    the free-set CG iterations.  The reports are built in input order.
+    the CG iterations of the free-set solves and of the boundary systems
+    that start them.  The reports are built in input order.
 
     Raises :class:`ValueError` for an obstacle or mask off theta's grid,
     :class:`EmptySupport` for an empty mask, and, once every problem is

@@ -20,7 +20,7 @@ from maenv import (
 )
 from maenv.errors import EmptySupport, NonConvergence
 from maenv.fields import random_theta_psh, step_band, supersolution_corpus
-from maenv.torus import MeasureDensity
+from maenv.torus import MeasureDensity, curvature_values, neighbor_sum
 from maenv import _newton, obstacle
 from maenv.obstacle import (
     PenalizationSchedule,
@@ -315,6 +315,168 @@ class TestActiveSetFinishMatchesPsor:
         monkeypatch.setattr(obstacle, "_ACTIVE_SET_STEPS", 0)
         sol = self.check(n, make_obstacle, make_mask)
         assert sol.report.cg_iterations == 0
+
+
+def fft_free_sets(theta, obstacles, monkeypatch):
+    """The (u, free) of every free-set solve of psor_envelopes that takes the FFT branch."""
+    calls = []
+    solve = obstacle._free_set_solve
+
+    def recording(u, th, h, free):
+        if free.sum() >= obstacle._FFT_MIN_FREE * free.size:
+            calls.append((u.copy(), free.copy()))
+        return solve(u, th, h, free)
+
+    monkeypatch.setattr(obstacle, "_free_set_solve", recording)
+    psor_envelopes(theta, obstacles)
+    monkeypatch.setattr(obstacle, "_free_set_solve", solve)
+    return calls
+
+
+def orthogonality_draws(grid, seed, count=3):
+    # the orthogonality scenario's smooth obstacles, drawn as it draws them
+    rng = np.random.default_rng(seed)
+    return [random_smooth_field(grid, rng, amplitude=float(rng.uniform(0.2, 1.0))) for _ in range(count)]
+
+
+def norm(v):
+    return float(np.sqrt(np.sum(v * v)))
+
+
+class TestBoundaryStart:
+    """Free-set solves started from the contact-boundary system against zero starts."""
+
+    @staticmethod
+    def solve_both(monkeypatch, u, theta, free):
+        """The solve from the boundary start and from zero; checks the route, agreement and residuals."""
+        n = u.shape[0]
+        h = 1.0 / n
+        # with u = 0 on the free sites the solve's correction is the returned field there
+        u = np.where(free, 0.0, u)
+        routes = []
+        boundary_start = obstacle._boundary_start
+
+        def recording(r, f):
+            e, its = boundary_start(r, f)
+            routes.append((e is not None, its))
+            return e, its
+
+        monkeypatch.setattr(obstacle, "_boundary_start", recording)
+        got, its = obstacle._free_set_solve(u, theta, h, free)
+        monkeypatch.setattr(obstacle, "_boundary_start", lambda r, f: (None, 0))
+        want, _ = obstacle._free_set_solve(u, theta, h, free)
+        monkeypatch.setattr(obstacle, "_boundary_start", boundary_start)
+        [(ran, boundary_its)] = routes
+        assert ran
+        # the boundary start is the solution up to the last digits: the
+        # free-set CG after it takes at most a few iterations
+        assert its - boundary_its <= 3
+        assert np.abs(got - want).max() <= 1e-12
+        idx = np.flatnonzero(free)
+        op = _newton._curvature_operators(n)[0][idx][:, idx]
+        r = (theta + curvature_values(u, h)).ravel()[idx]
+        for out in (got, want):
+            assert np.array_equal(out[~free], u[~free])
+            assert norm(r - op @ out.ravel()[idx]) <= 1e-13 * norm(r)
+
+    @staticmethod
+    def boundary_size(free):
+        return int((~free & neighbor_sum(free)).sum())
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_two_full_boundary_lines(self, monkeypatch, n):
+        # the capacity certificate's solve on the sandwich's stripe mask x < 1/4:
+        # theta = 0 and the indicator as the Dirichlet data
+        x, _ = TorusGrid(n).coords()
+        stripe = x < 0.25
+        assert self.boundary_size(~stripe) == 2 * n
+        self.solve_both(monkeypatch, stripe.astype(float), np.zeros((n, n)), ~stripe)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_disc(self, monkeypatch, n):
+        grid = TorusGrid(n)
+        x, y = grid.coords()
+        disc = (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.04
+        h = random_smooth_field(grid, np.random.default_rng(n), amplitude=0.5).values
+        self.solve_both(monkeypatch, h, theta_cosine(grid).density.values, ~disc)
+
+    @pytest.mark.parametrize(
+        "n, share", [(24, 0.05), (24, 0.1), (24, 0.2), (24, 0.4), (32, 0.2), (64, 0.05)]
+    )
+    def test_random_masks(self, monkeypatch, n, share):
+        grid = TorusGrid(n)
+        rng = np.random.default_rng(int(100 * share) + n)
+        contact = rng.random((n, n)) < share
+        assert 2 <= self.boundary_size(~contact) <= obstacle._BOUNDARY_MAX_SITES
+        h = random_smooth_field(grid, rng, amplitude=0.5).values
+        self.solve_both(monkeypatch, h, theta_cosine(grid).density.values, ~contact)
+
+    @pytest.mark.parametrize("n", [24, 32, 64])
+    def test_orthogonality_smooth_draws(self, monkeypatch, n):
+        grid = TorusGrid(n)
+        theta = theta_cosine(grid)
+        calls = fft_free_sets(theta, orthogonality_draws(grid, n), monkeypatch)
+        assert calls
+        for u, free in calls:
+            self.solve_both(monkeypatch, u, theta.density.values, free)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_single_site_boundary(self, monkeypatch, n):
+        contact = np.zeros((n, n), bool)
+        contact[n // 3, n // 2] = True
+        assert self.boundary_size(~contact) == 1
+        self.solve_both(monkeypatch, contact.astype(float), np.zeros((n, n)), ~contact)
+        grid = TorusGrid(n)
+        self.solve_both(monkeypatch, np.where(contact, 2.0, 0.0), theta_cosine(grid).density.values, ~contact)
+
+    def test_capped_boundary_cg_still_certifies(self, monkeypatch):
+        grid = TorusGrid(64)
+        theta = theta_cosine(grid)
+        obstacles = orthogonality_draws(grid, 64)
+        want = psor_envelopes(theta, obstacles)
+        monkeypatch.setattr(obstacle, "_BOUNDARY_MAXITER", 1)
+        missed = []
+        boundary_start = obstacle._boundary_start
+
+        def recording(r, f):
+            e, its = boundary_start(r, f)
+            missed.append(e is None and its == 1)
+            return e, its
+
+        monkeypatch.setattr(obstacle, "_boundary_start", recording)
+        got = psor_envelopes(theta, obstacles)
+        assert missed and all(missed)
+        for sol, ref in zip(got, want):
+            assert sol.report.converged
+            assert sol.report.residual <= obstacle._PSOR_TOL
+            assert np.abs(sol.u.values - ref.u.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 24, 64])
+def test_green_kernel_inverts_minus_c(n):
+    # G applied to a column of -C is delta - 1/n^2, by the offset kernel and
+    # by the FFT symbol; the preconditioner's symbol differs only at the
+    # constant mode, where it holds the first nonzero eigenvalue's reciprocal
+    symbol, kernel = obstacle._green(n)
+    assert obstacle._green(n)[1] is kernel
+    neg = _newton._curvature_operators(n)[0]
+    i, j = np.divmod(np.arange(n * n), n)
+    for site in (0, n + 1, n * n // 2 + n // 3, n * n - 1):
+        column = neg[:, [site]].toarray().ravel()
+        delta = np.where(np.arange(n * n) == site, 1.0, 0.0) - 1.0 / n**2
+        applied = np.zeros(n * n)
+        for b in np.flatnonzero(column):
+            bi, bj = divmod(b, n)
+            applied += column[b] * kernel[i - bi + n - 1, j - bj + n - 1]
+        assert np.abs(applied - delta).max() <= 1e-12
+        fft = obstacle._apply_green(symbol, column.reshape(n, n)).ravel()
+        assert np.abs(fft - delta).max() <= 1e-12
+    inverse = obstacle._inverse_symbol(n)
+    assert symbol[0, 0] == 0.0 and inverse[0, 0] == symbol[1, 0]
+    assert np.array_equal(inverse.ravel()[1:], symbol.ravel()[1:])
+    for arr in (symbol, kernel, inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0
 
 
 def alternating_theta(n):

@@ -406,13 +406,34 @@ phi, digest = None, hashlib.sha256()
 for k in range(12):
     phi, _ = penalized_step(theta, v, mu, 2.0**k, init=phi)
     digest.update(phi.values.tobytes())
-print(digest.hexdigest())
+
+# an envelope at n = 64 whose free-set solve starts from its contact-boundary
+# system, kb = 288: the sizes of that block where a dense BLAS or LAPACK
+# solve gives different bits at one and two threads
+from maenv import obstacle, psor_envelope, random_smooth_field, theta_cosine
+
+boundary_start, sizes = obstacle._boundary_start, []
+
+
+def recording(r, free):
+    e, its = boundary_start(r, free)
+    if e is not None:
+        sizes.append(int((~free & obstacle.neighbor_sum(free)).sum()))
+    return e, its
+
+
+obstacle._boundary_start = recording
+grid = TorusGrid(64)
+h = random_smooth_field(grid, np.random.default_rng(0), amplitude=0.3)
+digest.update(psor_envelope(theta_cosine(grid), h).u.values.tobytes())
+print(digest.hexdigest(), max(sizes, default=0))
 """
 
 
 def test_newton_fields_do_not_depend_on_blas_threads():
     # a penalized schedule at n = 128, whose vectors are long enough for
-    # OpenBLAS to split a dot product between threads, run in two fresh
+    # OpenBLAS to split a dot product between threads, and an envelope whose
+    # free-set solve takes the contact-boundary route, run in two fresh
     # interpreters that differ only in the BLAS thread count
     src = str(Path(maenv._newton.__file__).resolve().parents[1])
     digests = []
@@ -423,5 +444,7 @@ def test_newton_fields_do_not_depend_on_blas_threads():
             [sys.executable, "-c", _SCHEDULE_DIGEST],
             env=env, capture_output=True, text=True, timeout=300, check=True,
         )
-        digests.append(run.stdout.strip())
+        digest, boundary = run.stdout.split()
+        assert int(boundary) >= 150
+        digests.append(digest)
     assert digests[0] == digests[1]
