@@ -374,7 +374,7 @@ def _inverse_symbol(n):
 
 
 def _apply_green(symbol, f):
-    """G f for a grid f, by one FFT pair."""
+    """The convolution with a reciprocal symbol, G f for :func:`_green`'s, by one FFT pair."""
     return np.fft.irfft2(np.fft.rfft2(f) * symbol, s=f.shape)
 
 
@@ -493,8 +493,7 @@ def _free_set_solve(u, theta, h, free):
 
         def precondition(r):
             grid[idx] = r
-            z = np.fft.irfft2(np.fft.rfft2(grid.reshape(n, n)) * inv, s=(n, n))
-            return z.ravel()[idx]
+            return _apply_green(inv, grid.reshape(n, n)).ravel()[idx]
 
         start, boundary_its = _boundary_start(r, free)
     else:
