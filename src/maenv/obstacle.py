@@ -22,8 +22,7 @@ Two independent routes to the same envelope:
   sweeps stop and primal-dual active-set steps (Hintermueller, Ito &
   Kunisch, SIAM J. Optim. 13, 2003) finish the solve: each fixes u = h on
   a contact set and solves the equation on the free sites by conjugate
-  gradients.  When the free set is large, that CG is preconditioned by an
-  FFT division by the stencil's Fourier symbol and starts from the exact
+  gradients.  When the free set is large, that CG starts from the exact
   solve reduced to the contact set's boundary, point sources there
   through the periodic Green's function (the capacitance-matrix method),
   which leaves it at most a few iterations.  If no step certifies the
@@ -72,22 +71,12 @@ _HANDOVER_TOL = 1e-2  # PSOR residual at which the active-set steps take over
 _ACTIVE_SET_STEPS = 8  # active-set steps before PSOR resumes
 _CG_RTOL = 1e-13  # relative residual of each free-set CG solve
 _CG_MAXITER = 500  # CG iterations per free-set solve
-# Free-site share from which CG is FFT-preconditioned.  Below it the FFT
-# preconditioner saves few CG iterations in total, and each application
-# transforms the whole grid.  On all PSOR solves of one pass of the
-# obstacle-lcp and small-mixed benchmark workloads (2-vCPU VM, one BLAS
-# thread) the solve time totals 0.21 s at 0.25, 0.32 s at 0.1 and 0.37 s at 0.
-_FFT_MIN_FREE = 0.25
-# Largest contact boundary whose system starts a free-set solve: its block
-# takes kb^2 entries and each of its CG iterations kb^2 products.  Timed
-# against the zero start on random, disc and blob contact sets (2-vCPU VM,
-# one BLAS thread), the boundary start took 0.2-0.8 of the time up to
-# kb = 420 at n = 64 and 520 at n = 128, and 1.0-2.7 times it from
-# kb = 720 (n = 128) and 820 (n = 64).
-_BOUNDARY_MAX_SITES = 400
-# CG iterations of the boundary system before the solve starts from zero;
-# below the size bound those timings took at most 62
-_BOUNDARY_MAXITER = 100
+# Free-site share from which a free-set solve starts from its contact-boundary
+# system.  Below it, on the thin strips between min-principle's crossing
+# pairs, the boundary is as large as the free set: at n = 64 (free share
+# 0.08-0.10, kb 568-677) the boundary route took 62 ms against 4 ms for
+# plain CG from zero (2-vCPU VM, one BLAS thread).
+_BOUNDARY_MIN_FREE = 0.25
 _COARSE_MIN_N = 32  # smallest grid whose sweeps start from the half grid
 _COARSE_BUDGET = 4  # sweeps per grid line allowed on each coarse level
 
@@ -360,21 +349,8 @@ def _green(n):
     return symbol, kernel
 
 
-@lru_cache(maxsize=None)
-def _inverse_symbol(n):
-    """The FFT preconditioner: :func:`_green`'s symbol, the constant mode at 1 / lam[1, 0].
-
-    Replacing the constant mode's zero eigenvalue by the first nonzero one
-    keeps the preconditioner positive definite.  Cached per n and read-only.
-    """
-    inv = _green(n)[0].copy()
-    inv[0, 0] = inv[1, 0]
-    inv.flags.writeable = False
-    return inv
-
-
 def _apply_green(symbol, f):
-    """The convolution with a reciprocal symbol, G f for :func:`_green`'s, by one FFT pair."""
+    """G f, the convolution with :func:`_green`'s symbol, by one FFT pair."""
     return np.fft.irfft2(np.fft.rfft2(f) * symbol, s=f.shape)
 
 
@@ -403,16 +379,17 @@ def _boundary_start(r, free):
     mean of what is left.  CG stops once its residual, the value of e on B,
     is at most ``_CG_RTOL`` |r| in the units of the free-set residual it
     feeds (a neighbour's weight 1 / (2 pi h^2)): an absolute stop, which a
-    nearly zero projected right-hand side cannot put out of reach.
-    ``free`` flags the free sites of the n x n grid.  Returns ``(e,
-    iterations)`` with e on the free sites, or ``(None, iterations)`` when
-    B is empty or has more than ``_BOUNDARY_MAX_SITES`` sites, or CG misses
-    ``_BOUNDARY_MAXITER``.
+    nearly zero projected right-hand side cannot put out of reach.  The
+    block takes kb^2 floats, 22 MB at kb = 1668 (a smooth obstacle at
+    n = 512), where its CG runs 125 iterations.  ``free`` flags the free
+    sites of the n x n grid.  Returns ``(e, iterations)`` with e on the free
+    sites, ``(None, 0)`` when B is empty, or ``(None, iterations)`` when CG
+    misses ``_CG_MAXITER``.
     """
     n = free.shape[0]
     boundary = np.flatnonzero(~free & neighbor_sum(free))
     kb = boundary.size
-    if not 0 < kb <= _BOUNDARY_MAX_SITES:
+    if not kb:
         return None, 0
     symbol, kernel = _green(n)
     # G_BB: the kernel at the offsets between boundary sites, as flat
@@ -453,9 +430,7 @@ def _boundary_start(r, free):
     rhs = project(g.copy())
     norm = np.sqrt(_dot(rhs, rhs))
     stop = _CG_RTOL * 2.0 * np.pi * np.sqrt(_dot(r, r)) / (n * n)
-    tau, its, ok = conjugate_gradients(
-        matvec, rhs, precondition, stop / norm if norm else 0.0, _BOUNDARY_MAXITER
-    )
+    tau, its, ok = conjugate_gradients(matvec, rhs, precondition, stop / norm if norm else 0.0, _CG_MAXITER)
     if not ok:
         return None, its
     c = (g - np.einsum("ij,j->i", block, tau)).sum() / kb
@@ -468,17 +443,16 @@ def _free_set_solve(u, theta, h, free):
 
     Conjugate gradients on the free sites' correction, with the free-set
     block of the cached -C of :func:`_curvature_operators` as the operator,
-    to the relative residual ``_CG_RTOL``.  When the free set holds at least
-    ``_FFT_MIN_FREE`` of the sites, CG starts from the correction of the
-    contact-boundary system (:func:`_boundary_start`), exact up to that
-    system's own CG, and is preconditioned by the periodic inverse of
-    -curvature (an FFT division) restricted to the free set; it starts from
-    zero when the boundary is too large or its CG misses its cap.  On a
-    smaller free set, thin strips between contact regions, the Dirichlet
-    data already bound the condition number and plain CG from zero needs
-    fewer operations.  ``free`` flags the free sites of the n x n grid.
-    Returns the new field and the number of CG iterations, the boundary
-    system's included.
+    to the relative residual ``_CG_RTOL``, with no preconditioner.  When the
+    free set holds at least ``_BOUNDARY_MIN_FREE`` of the sites, CG starts
+    from the correction of the contact-boundary system
+    (:func:`_boundary_start`), exact up to that system's own CG, and then
+    takes at most a few iterations; it starts from zero when that CG misses
+    its cap.  On a smaller free set, thin strips between contact regions,
+    the Dirichlet data already bound the condition number and plain CG from
+    zero needs fewer operations.  ``free`` flags the free sites of the
+    n x n grid.  Returns the new field and the number of CG iterations, the
+    boundary system's included.
     """
     n = u.shape[0]
     idx = np.flatnonzero(free)
@@ -487,18 +461,9 @@ def _free_set_solve(u, theta, h, free):
     r += theta
     r = r.ravel()[idx]
     start, boundary_its = None, 0
-    if idx.size >= _FFT_MIN_FREE * n * n:
-        inv = _inverse_symbol(n)
-        grid = np.zeros(n * n)
-
-        def precondition(r):
-            grid[idx] = r
-            return _apply_green(inv, grid.reshape(n, n)).ravel()[idx]
-
+    if idx.size >= _BOUNDARY_MIN_FREE * n * n:
         start, boundary_its = _boundary_start(r, free)
-    else:
-        precondition = np.copy
-    e, its, _ = conjugate_gradients(op.dot, r, precondition, _CG_RTOL, _CG_MAXITER, start)
+    e, its, _ = conjugate_gradients(op.dot, r, np.copy, _CG_RTOL, _CG_MAXITER, start)
     out = u.copy()
     out.ravel()[idx] += e
     return out, boundary_its + its

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from maenv import (
     GridField,
@@ -294,15 +295,16 @@ class TestActiveSetFinishMatchesPsor:
         assert report.coarse_sweeps > 0
         # the sweeps stopped at the first residual check (one history entry
         # per 8 sweeps) below the handover residual, so PSOR never resumed;
-        # every active-set step after them appended its residual and ran
-        # CG, unless the sweeps alone certified
+        # every active-set step after them appended its residual, and CG ran
+        # only in such steps (a step whose boundary start already passes
+        # both CG stops spends none)
         assert report.method == "psor"
         assert report.iterations % 8 == 0
         checks = report.iterations // 8
         assert min(report.history[: checks - 1], default=np.inf) > obstacle._HANDOVER_TOL
         steps = len(report.history) - checks
         assert 0 <= steps <= obstacle._ACTIVE_SET_STEPS
-        assert (steps > 0) == (report.cg_iterations > 0)
+        assert steps > 0 or report.cg_iterations == 0
         assert report.history[-1] == report.residual
 
     @pytest.mark.parametrize("n", [32, 64])
@@ -317,13 +319,13 @@ class TestActiveSetFinishMatchesPsor:
         assert sol.report.cg_iterations == 0
 
 
-def fft_free_sets(theta, obstacles, monkeypatch):
-    """The (u, free) of every free-set solve of psor_envelopes that takes the FFT branch."""
+def boundary_route_solves(theta, obstacles, monkeypatch):
+    """The (u, free) of every free-set solve of psor_envelopes that starts from its boundary system."""
     calls = []
     solve = obstacle._free_set_solve
 
     def recording(u, th, h, free):
-        if free.sum() >= obstacle._FFT_MIN_FREE * free.size:
+        if free.sum() >= obstacle._BOUNDARY_MIN_FREE * free.size:
             calls.append((u.copy(), free.copy()))
         return solve(u, th, h, free)
 
@@ -344,11 +346,11 @@ def norm(v):
 
 
 class TestBoundaryStart:
-    """Free-set solves started from the contact-boundary system against zero starts."""
+    """Free-set solves started from the contact-boundary system against a direct solve."""
 
     @staticmethod
     def solve_both(monkeypatch, u, theta, free):
-        """The solve from the boundary start and from zero; checks the route, agreement and residuals."""
+        """The solve from the boundary start and by spsolve; checks the route, agreement and residuals."""
         n = u.shape[0]
         h = 1.0 / n
         # with u = 0 on the free sites the solve's correction is the returned field there
@@ -363,18 +365,18 @@ class TestBoundaryStart:
 
         monkeypatch.setattr(obstacle, "_boundary_start", recording)
         got, its = obstacle._free_set_solve(u, theta, h, free)
-        monkeypatch.setattr(obstacle, "_boundary_start", lambda r, f: (None, 0))
-        want, _ = obstacle._free_set_solve(u, theta, h, free)
         monkeypatch.setattr(obstacle, "_boundary_start", boundary_start)
         [(ran, boundary_its)] = routes
         assert ran
         # the boundary start is the solution up to the last digits: the
         # free-set CG after it takes at most a few iterations
         assert its - boundary_its <= 3
-        assert np.abs(got - want).max() <= 1e-12
         idx = np.flatnonzero(free)
         op = _newton._curvature_operators(n)[0][idx][:, idx]
         r = (theta + curvature_values(u, h)).ravel()[idx]
+        want = u.copy()
+        want.ravel()[idx] = spsolve(op.tocsc(), r)
+        assert np.abs(got - want).max() <= 1e-12
         for out in (got, want):
             assert np.array_equal(out[~free], u[~free])
             assert norm(r - op @ out.ravel()[idx]) <= 1e-13 * norm(r)
@@ -407,16 +409,21 @@ class TestBoundaryStart:
         grid = TorusGrid(n)
         rng = np.random.default_rng(int(100 * share) + n)
         contact = rng.random((n, n)) < share
-        assert 2 <= self.boundary_size(~contact) <= obstacle._BOUNDARY_MAX_SITES
+        assert 2 <= self.boundary_size(~contact)
         h = random_smooth_field(grid, rng, amplitude=0.5).values
         self.solve_both(monkeypatch, h, theta_cosine(grid).density.values, ~contact)
 
-    @pytest.mark.parametrize("n", [24, 32, 64])
+    # at n = 128 seed 0 draws a contact set with a 501-site boundary, above
+    # the 400 sites the boundary start was once capped at
+    @pytest.mark.parametrize("n", [24, 32, 64, 128])
     def test_orthogonality_smooth_draws(self, monkeypatch, n):
         grid = TorusGrid(n)
         theta = theta_cosine(grid)
-        calls = fft_free_sets(theta, orthogonality_draws(grid, n), monkeypatch)
+        seed = 0 if n == 128 else n
+        calls = boundary_route_solves(theta, orthogonality_draws(grid, seed), monkeypatch)
         assert calls
+        if n == 128:
+            assert max(self.boundary_size(free) for _, free in calls) > 400
         for u, free in calls:
             self.solve_both(monkeypatch, u, theta.density.values, free)
 
@@ -430,22 +437,22 @@ class TestBoundaryStart:
         self.solve_both(monkeypatch, np.where(contact, 2.0, 0.0), theta_cosine(grid).density.values, ~contact)
 
     def test_capped_boundary_cg_still_certifies(self, monkeypatch):
+        # every boundary system reports a miss, so each solve starts from zero
         grid = TorusGrid(64)
         theta = theta_cosine(grid)
         obstacles = orthogonality_draws(grid, 64)
         want = psor_envelopes(theta, obstacles)
-        monkeypatch.setattr(obstacle, "_BOUNDARY_MAXITER", 1)
         missed = []
         boundary_start = obstacle._boundary_start
 
-        def recording(r, f):
-            e, its = boundary_start(r, f)
-            missed.append(e is None and its == 1)
-            return e, its
+        def missing(r, f):
+            _, its = boundary_start(r, f)
+            missed.append(its)
+            return None, its
 
-        monkeypatch.setattr(obstacle, "_boundary_start", recording)
+        monkeypatch.setattr(obstacle, "_boundary_start", missing)
         got = psor_envelopes(theta, obstacles)
-        assert missed and all(missed)
+        assert missed
         for sol, ref in zip(got, want):
             assert sol.report.converged
             assert sol.report.residual <= obstacle._PSOR_TOL
@@ -455,8 +462,7 @@ class TestBoundaryStart:
 @pytest.mark.parametrize("n", [8, 24, 64])
 def test_green_kernel_inverts_minus_c(n):
     # G applied to a column of -C is delta - 1/n^2, by the offset kernel and
-    # by the FFT symbol; the preconditioner's symbol differs only at the
-    # constant mode, where it holds the first nonzero eigenvalue's reciprocal
+    # by the FFT symbol
     symbol, kernel = obstacle._green(n)
     assert obstacle._green(n)[1] is kernel
     neg = _newton._curvature_operators(n)[0]
@@ -471,10 +477,8 @@ def test_green_kernel_inverts_minus_c(n):
         assert np.abs(applied - delta).max() <= 1e-12
         fft = obstacle._apply_green(symbol, column.reshape(n, n)).ravel()
         assert np.abs(fft - delta).max() <= 1e-12
-    inverse = obstacle._inverse_symbol(n)
-    assert symbol[0, 0] == 0.0 and inverse[0, 0] == symbol[1, 0]
-    assert np.array_equal(inverse.ravel()[1:], symbol.ravel()[1:])
-    for arr in (symbol, kernel, inverse):
+    assert symbol[0, 0] == 0.0
+    for arr in (symbol, kernel):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
 
