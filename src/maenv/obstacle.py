@@ -74,8 +74,8 @@ _CG_MAXITER = 500  # CG iterations per free-set solve
 # Free-site share from which a free-set solve starts from its contact-boundary
 # system.  Below it, on the thin strips between min-principle's crossing
 # pairs, the boundary is as large as the free set: at n = 64 (free share
-# 0.08-0.10, kb 568-677) the boundary route took 62 ms against 4 ms for
-# plain CG from zero (2-vCPU VM, one BLAS thread).
+# 0.08-0.10, kb 568-677) the boundary route took 14-23 ms a solve against
+# 0.9-1.3 ms for plain CG from zero (2-vCPU VM, one BLAS thread).
 _BOUNDARY_MIN_FREE = 0.25
 _COARSE_MIN_N = 32  # smallest grid whose sweeps start from the half grid
 _COARSE_BUDGET = 4  # sweeps per grid line allowed on each coarse level
@@ -380,8 +380,8 @@ def _boundary_start(r, free):
     is at most ``_CG_RTOL`` |r| in the units of the free-set residual it
     feeds (a neighbour's weight 1 / (2 pi h^2)): an absolute stop, which a
     nearly zero projected right-hand side cannot put out of reach.  The
-    block takes kb^2 floats, 22 MB at kb = 1668 (a smooth obstacle at
-    n = 512), where its CG runs 125 iterations.  ``free`` flags the free
+    block takes kb^2 floats, 18.6 MB at kb = 1524 (a smooth obstacle at
+    n = 512), where its CG runs 91 iterations.  ``free`` flags the free
     sites of the n x n grid.  Returns ``(e, iterations)`` with e on the free
     sites, ``(None, 0)`` when B is empty, or ``(None, iterations)`` when CG
     misses ``_CG_MAXITER``.
