@@ -15,8 +15,9 @@ identically zero (full-grid case) or a Dirichlet mask pins the constant mode
 the iteration inside the monotone basin.
 
 Linear solves: -C is built once per n and cached with its diagonal
-positions; the residual applies it, the obstacle solver's free-set solves
-restrict it, and every Newton matrix is written into its pattern: a step
+positions; the residual applies it, the free-set solves of the obstacle
+solver and of a Dirichlet mask take its blocks (:func:`_curvature_block`),
+and every Newton matrix is written into its pattern: a step
 copies its data and adds the weights on the diagonal.  The first Newton
 matrix of a call is factored once by sparse LU (minimum-degree ordering on
 A^T + A, which suits the symmetric pattern; no relaxed supernodes and
@@ -46,7 +47,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NewtonStall, NonConvergence
-from .torus import laplacian_matrix
+from .torus import _stencil_block, laplacian_matrix
 
 _EXP_CAP = 500.0  # cap on exponents; keeps overflow out of the line search
 _CG_RTOL = 1e-12  # relative residual of each preconditioned CG solve
@@ -60,16 +61,14 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a, b))
 
 
-def conjugate_gradients(matvec, b, precondition, rtol, maxiter, x0=None):
+def conjugate_gradients(matvec, b, precondition, stop, maxiter, x0=None):
     """Preconditioned conjugate gradients for a symmetric positive definite system.
 
     Starts from ``x0`` (default 0) and stops once the residual norm is at
-    most ``rtol`` times that of ``b``, before the first iteration if the
-    start already passes.  ``matvec`` applies the operator and
-    ``precondition`` the preconditioner's inverse.  Returns ``(x,
-    iterations, converged)``.
+    most ``stop``, before the first iteration if the start already passes.
+    ``matvec`` applies the operator and ``precondition`` the
+    preconditioner's inverse.  Returns ``(x, iterations, converged)``.
     """
-    stop = rtol * np.sqrt(_dot(b, b))
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
@@ -153,6 +152,17 @@ def _curvature_operators(n):
     return neg, diag
 
 
+def _curvature_block(n, sites):
+    """The block of -C on the sorted flat ``sites``, renumbered by position there, in CSR.
+
+    Built by :func:`~maenv.torus._stencil_block` from the rows of the
+    cached -C, whose five sorted entries a row it keeps in order: it equals
+    ``neg[sites][:, sites]`` array for array.
+    """
+    neg = _curvature_operators(n)[0]
+    return _stencil_block(neg.indices.reshape(-1, 5), neg.data.reshape(-1, 5), sites, sites)
+
+
 def _diagonal_positions(mat):
     """Positions in ``mat.data`` of the diagonal of a CSR matrix that stores it in every row."""
     rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
@@ -175,7 +185,7 @@ class _LaggedLU:
     def __init__(self, n, idx=None):
         neg, diag = _curvature_operators(n)
         if idx is not None:
-            neg = neg[idx][:, idx]
+            neg = _curvature_block(n, idx)
             diag = _diagonal_positions(neg)
         self.neg = neg
         self.diag = diag
@@ -191,9 +201,8 @@ class _LaggedLU:
     def solve(self, w, g):
         m = self.matrix(w)
         if self.lu is not None:
-            delta, its, converged = conjugate_gradients(
-                m.dot, g, self.lu.solve, _CG_RTOL, _CG_MAXITER
-            )
+            stop = _CG_RTOL * np.sqrt(_dot(g, g))
+            delta, its, converged = conjugate_gradients(m.dot, g, self.lu.solve, stop, _CG_MAXITER)
             self.cg_iterations += its
             if converged:
                 return delta

@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MaenvError",
+    "NonConvergence",
+    "NewtonStall",
+    "EmptySupport",
+    "NoSubsolution",
+    "FamilyExhausted",
+    "InfeasibleMask",
+    "OrderViolation",
+    "InputNotSupersolution",
+    "ConfigError",
+    "ScenarioFailure",
+]
+
 
 class MaenvError(Exception):
     """Base class for all errors raised by this package."""

@@ -52,14 +52,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
-from ._newton import SolverReport, _curvature_operators, _dot, conjugate_gradients, newton_semilinear
+from ._newton import SolverReport, _curvature_block, _dot, conjugate_gradients, newton_semilinear
 from .errors import EmptySupport, NonConvergence
 from .torus import (
     GridField,
     MeasureDensity,
     ThetaDensity,
+    _stencil_block,
     curvature_values,
     ma_density,
     neighbor_sum,
@@ -136,25 +136,21 @@ def _colour_split(n):
     (mod 2) in row-major order, so ``values.ravel()[order]`` stores a grid
     as two colour vectors.  Row r of gather c sums, with unit weights and in
     the order i-1, i+1, j-1, j+1, the four neighbours of colour c's r-th
-    site, which all have the other colour.  Every PSOR call at size n shares
-    the cached split, so its arrays are read-only.
+    site, which all have the other colour: :func:`_stencil_block` of
+    :func:`neighbor_table` drops none of them, so both gathers share one
+    ``data`` and ``indptr``.  Every PSOR call at size n shares the cached
+    split, so its arrays are read-only.
     """
     odd = np.arange(n) % 2 == 1
     colour = odd[:, None] ^ odd
     order = np.stack([np.flatnonzero(colour == c) for c in (0, 1)])
-    rows = order.shape[1]
-    position = np.empty(n * n, dtype=np.int32)
-    position[order] = np.arange(rows, dtype=np.int32)
     table = neighbor_table(n)
-    data = np.ones(4 * rows)
-    indptr = np.arange(0, 4 * rows + 1, 4, dtype=np.int32)
-    gathers = []
-    for c in (0, 1):
-        idx = position.take(table.take(order[c], axis=0))
-        gathers.append(sp.csr_matrix((data, idx.ravel(), indptr), shape=(rows, rows)))
-    for arr in (order, *(a for g in gathers for a in (g.data, g.indices, g.indptr))):
+    ones = np.broadcast_to(1.0, table.shape)
+    red, black = (_stencil_block(table, ones, order[c], order[1 - c]) for c in (0, 1))
+    black.data, black.indptr = red.data, red.indptr
+    for arr in (order, red.data, red.indices, red.indptr, black.indices):
         arr.flags.writeable = False
-    return order, tuple(gathers)
+    return order, (red, black)
 
 
 def _psor_values(theta, hproj, tol, max_iter, init, smooth=False):
@@ -275,13 +271,13 @@ def _prolong(uc):
     return uf
 
 
-def _nested_sweeps(theta, hproj, mask, tol, max_iter):
+def _nested_sweeps(theta, hproj, tol, max_iter):
     """Sweeps of a stack of problems to the residual tol, started on the n/2 grid.
 
-    ``hproj`` and ``mask`` are stacks (n, n, k) of problems sharing
-    ``theta``.  Nested iteration (Brandt & Cryer, SIAM J. Sci. Stat.
-    Comput. 4, 1983): theta, the obstacles and the masks are injected onto
-    the even sub-lattice, those problems are swept to tol as one stack the
+    ``hproj`` is a stack (n, n, k) of obstacles sharing ``theta``, each +inf
+    off its constraint set.  Nested iteration (Brandt & Cryer, SIAM J. Sci.
+    Stat. Comput. 4, 1983): theta and the obstacles are injected onto the
+    even sub-lattice, those problems are swept to tol as one stack the
     same way (recursively), and each solution is prolonged bilinearly.  The
     sweeps before the first residual check then run at omega = 1:
     Gauss-Seidel damps the interpolation error within a few sweeps, where
@@ -289,21 +285,21 @@ def _nested_sweeps(theta, hproj, mask, tol, max_iter):
     coarse grid is used when n is a multiple of 4 (so that the n/2 grid
     has a red-black colouring) and at least ``_COARSE_MIN_N`` and the
     injected theta has positive mass, by each problem whose sub-lattice
-    holds a constrained site; a problem whose coarse level misses its
-    budget of ``_COARSE_BUDGET`` sweeps per grid line drops it.  The
+    holds a constrained (finite) site; a problem whose coarse level misses
+    its budget of ``_COARSE_BUDGET`` sweeps per grid line drops it.  The
     problems without a coarse start sweep from their constant min(h), as a
     stack of their own.  Returns, per problem and in stack order, what
     :func:`_psor_values` returns, then the sweeps spent on all its coarse
     levels.
     """
     n, k = hproj.shape[0], hproj.shape[2]
-    thc, mc = theta[::2, ::2], mask[::2, ::2]
+    thc, hc = theta[::2, ::2], hproj[::2, ::2]
     starts, spent = [None] * k, [0] * k
-    coarse = np.flatnonzero(mc.any(axis=(0, 1))) if n % 4 == 0 and n >= _COARSE_MIN_N else ()
+    coarse = np.flatnonzero(np.isfinite(hc).any(axis=(0, 1))) if n % 4 == 0 and n >= _COARSE_MIN_N else ()
     if len(coarse) and thc.sum() > 0.0:
         # the whole stack as views of the fine one, a part of it as a copy
         sub = slice(None) if len(coarse) == k else coarse
-        levels = _nested_sweeps(thc, hproj[::2, ::2, sub], mc[..., sub], tol, _COARSE_BUDGET * (n // 2))
+        levels = _nested_sweeps(thc, hc[..., sub], tol, _COARSE_BUDGET * (n // 2))
         for i, (uc, sweeps, _, _, ok, deeper) in zip(coarse, levels):
             spent[i] = deeper + sweeps
             if ok:
@@ -315,10 +311,7 @@ def _nested_sweeps(theta, hproj, mask, tol, max_iter):
         if not group:
             continue
         hp = hproj if len(group) == k else hproj[..., group]
-        if smooth:
-            init = _prolong(_stack([starts[i] for i in group]))
-        else:
-            init = np.array([hproj[..., i][mask[..., i]].min() for i in group])
+        init = _prolong(_stack([starts[i] for i in group])) if smooth else hp.min(axis=(0, 1))
         for i, r in zip(group, _psor_values(theta, hp, tol, max_iter, init, smooth)):
             results[i] = (*r, spent[i])
     return results
@@ -371,8 +364,8 @@ def _boundary_start(r, free):
     With sigma = sigma_0 + tau, sigma_0 the mean charge, this is CG on the
     mean-zero tau, where G_BB is positive definite.  Its operator is an
     einsum product with the gathered kb x kb block, and its preconditioner
-    the B block of -C, gathered from the rows of the cached sparse -C:
-    G_BB acts on the boundary like a single-layer potential, whose inverse
+    the sparse product with -C_BB, the B block of -C
+    (:func:`_curvature_block`): G_BB acts on the boundary like a single-layer potential, whose inverse
     the local -C_BB approximates (it cuts the block's condition number on
     the mean-zero subspace 2-3 fold, 68 -> 30 at kb = 284).  Neither calls
     BLAS, so a solve gives the same bits at any thread count.  c is the
@@ -402,14 +395,7 @@ def _boundary_start(r, free):
         # 64 rows at a time: a whole kb x kb index array next to the block
         # costs fresh pages twice, 2x the build time at kb = 284
         kernel.take(np.subtract.outer(key[i : i + 64] + origin, key), out=block[i : i + 64])
-    # -C_BB: the rows of B in the cached -C, five entries each on a grid of
-    # n >= 3, with the columns off B sent to a zero appended to the vector
-    neg = _curvature_operators(n)[0]
-    position = np.full(n * n, kb)
-    position[boundary] = np.arange(kb)
-    cols = position.take(neg.indices.reshape(-1, 5).take(boundary, axis=0))
-    weights = neg.data.reshape(-1, 5).take(boundary, axis=0)
-    padded = np.zeros(kb + 1)
+    neg_bb = _curvature_block(n, boundary)
 
     def project(v):
         v -= v.sum() / kb
@@ -419,18 +405,15 @@ def _boundary_start(r, free):
         return project(np.einsum("ij,j->i", block, t))
 
     def precondition(t):
-        padded[:kb] = t
-        return project(np.einsum("ij,ij->i", weights, padded.take(cols)))
+        return project(neg_bb.dot(t))
 
     f = np.zeros((n, n))
     f[free] = r
     sigma0 = -r.sum() / kb
     g = -_apply_green(symbol, f).ravel().take(boundary)
     g -= sigma0 * block.sum(axis=1)
-    rhs = project(g.copy())
-    norm = np.sqrt(_dot(rhs, rhs))
     stop = _CG_RTOL * 2.0 * np.pi * np.sqrt(_dot(r, r)) / (n * n)
-    tau, its, ok = conjugate_gradients(matvec, rhs, precondition, stop / norm if norm else 0.0, _CG_MAXITER)
+    tau, its, ok = conjugate_gradients(matvec, project(g.copy()), precondition, stop, _CG_MAXITER)
     if not ok:
         return None, its
     c = (g - np.einsum("ij,j->i", block, tau)).sum() / kb
@@ -442,8 +425,8 @@ def _free_set_solve(u, theta, h, free):
     """Solve theta + curvature(u) = 0 on the free sites, u fixed elsewhere.
 
     Conjugate gradients on the free sites' correction, with the free-set
-    block of the cached -C of :func:`_curvature_operators` as the operator,
-    to the relative residual ``_CG_RTOL``, with no preconditioner.  When the
+    block of -C (:func:`_curvature_block`) as the operator, to the relative
+    residual ``_CG_RTOL``, with no preconditioner.  When the
     free set holds at least ``_BOUNDARY_MIN_FREE`` of the sites, CG starts
     from the correction of the contact-boundary system
     (:func:`_boundary_start`), exact up to that system's own CG, and then
@@ -456,28 +439,29 @@ def _free_set_solve(u, theta, h, free):
     """
     n = u.shape[0]
     idx = np.flatnonzero(free)
-    op = _curvature_operators(n)[0][idx][:, idx]
+    op = _curvature_block(n, idx)
     r = curvature_values(u, h)
     r += theta
     r = r.ravel()[idx]
     start, boundary_its = None, 0
     if idx.size >= _BOUNDARY_MIN_FREE * n * n:
         start, boundary_its = _boundary_start(r, free)
-    e, its, _ = conjugate_gradients(op.dot, r, np.copy, _CG_RTOL, _CG_MAXITER, start)
+    e, its, _ = conjugate_gradients(op.dot, r, np.copy, _CG_RTOL * np.sqrt(_dot(r, r)), _CG_MAXITER, start)
     out = u.copy()
     out.ravel()[idx] += e
     return out, boundary_its + its
 
 
-def _active_set_finish(u, theta, hproj, mask, tol, history):
+def _active_set_finish(u, theta, hproj, tol, history):
     """Primal-dual active-set steps from the iterate u; stops when one certifies tol.
 
-    Each step takes as contact set the constrained sites where a Jacobi step
-    would reach the obstacle, c * (h - u) <= theta + curvature(u) with c the
-    stencil's diagonal 4 / (2 pi h^2), fixes u = h there and solves the
-    equation on the rest.  Appends each step's natural residual to
-    ``history``.  Returns the last iterate, its residual, whether it
-    certifies tol, and the CG iterations spent.
+    Each step takes as contact set the sites where a Jacobi step would reach
+    the obstacle, c * (h - u) <= theta + curvature(u) with c the stencil's
+    diagonal 4 / (2 pi h^2), fixes u = h there and solves the equation on
+    the rest.  Off the constraint set h = +inf, so no such site is in
+    contact.  Appends each step's natural residual to ``history``.  Returns
+    the last iterate, its residual, whether it certifies tol, and the CG
+    iterations spent.
     """
     n = u.shape[0]
     h = 1.0 / n
@@ -487,7 +471,7 @@ def _active_set_finish(u, theta, hproj, mask, tol, history):
     for _ in range(_ACTIVE_SET_STEPS):
         w = curvature_values(u, h)
         w += theta
-        contact = mask & (c * (hproj - u) <= w)
+        contact = c * (hproj - u) <= w
         if not contact.any():
             break
         u = np.where(contact, hproj, u)
@@ -541,7 +525,7 @@ def psor_envelopes(
     masks = [None] * len(obstacles) if constraint_masks is None else list(constraint_masks)
     if len(masks) != len(obstacles):
         raise ValueError("one constraint mask per obstacle")
-    hprojs, full = [], []
+    hprojs = []
     for obstacle, mask in zip(obstacles, masks):
         if obstacle.grid.n != grid.n:
             raise ValueError("obstacle and theta grids differ")
@@ -553,19 +537,16 @@ def psor_envelopes(
             if not mask.any():
                 raise EmptySupport("constraint mask is empty")
             hproj = np.where(mask, hproj, np.inf)
-        else:
-            mask = np.ones_like(hproj, dtype=bool)
         hprojs.append(hproj)
-        full.append(mask)
 
     handover = max(tol, _HANDOVER_TOL)
-    swept = _nested_sweeps(th, _stack(hprojs), _stack(full), handover, max_iter)
+    swept = _nested_sweeps(th, _stack(hprojs), handover, max_iter)
     solutions = []
-    for obstacle, hproj, mask, sweep in zip(obstacles, hprojs, full, swept):
+    for hproj, sweep in zip(hprojs, swept):
         u, sweeps, res, history, ok, coarse_sweeps = sweep
         cg_iterations = 0
         if ok and res > tol:
-            u, res, ok, cg_iterations = _active_set_finish(u, th, hproj, mask, tol, history)
+            u, res, ok, cg_iterations = _active_set_finish(u, th, hproj, tol, history)
             if not ok:
                 u, more, res, rest, ok = _psor_values(th, hproj, tol, max_iter - sweeps, u)
                 sweeps += more
@@ -574,9 +555,9 @@ def psor_envelopes(
             "psor", sweeps, res, ok, history, cg_iterations=cg_iterations, coarse_sweeps=coarse_sweeps
         )
         w = th + curvature_values(u, grid.h)
-        gap = np.where(mask, obstacle.values - u, 0.0)
+        gap = np.where(np.isfinite(hproj), hproj - u, 0.0)
         defect = float((gap * w).sum()) * grid.h**2
-        solutions.append(ObstacleSolution(GridField(grid, u), mask & (u == obstacle.values), defect, report))
+        solutions.append(ObstacleSolution(GridField(grid, u), u == hproj, defect, report))
     for solution in solutions:
         report = solution.report
         if not report.converged:

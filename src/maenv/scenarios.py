@@ -279,16 +279,7 @@ class RunManifest:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "scenario": self.scenario,
-            "version": self.version,
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-            "files": self.files,
-            "reports": self.reports,
-        }
+        payload = {**asdict(self), "passed": self.passed}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -436,7 +427,6 @@ def _crossing_pair(theta, rng):
 
 
 def _scn_min_principle(p, seed):
-    rng = np.random.default_rng(seed)
     vol = 1.0
     results = {}
     rows = []
@@ -544,8 +534,7 @@ def _scn_extremal_contact(p, seed):
     grid = TorusGrid(p["n"])
     theta = theta_cosine(grid, amplitude=p["theta_amp"])
     vol = theta.total_mass
-    sol = psor_envelope(theta, constant_field(grid, 0.0))
-    vt = sol.u
+    vt = extremal_field(theta)
     ma = ma_density(theta, vt).values
     flat = np.abs(vt.values) < 1e-6
     excess = float((ma - flat * np.maximum(theta.density.values, 0.0)).max())

@@ -23,6 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+__all__ = [
+    "TorusGrid",
+    "GridField",
+    "ThetaDensity",
+    "MeasureDensity",
+    "Residual",
+    "constant_field",
+    "field_from_function",
+    "curvature_values",
+    "ma_density",
+    "is_theta_psh",
+    "integrate",
+    "inf_convolution",
+    "laplacian_matrix",
+]
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -252,6 +268,28 @@ def neighbor_table(n: int) -> np.ndarray:
     k = np.arange(n * n, dtype=np.int32).reshape(n, n)
     rolled = [np.roll(k, 1, 0), np.roll(k, -1, 0), np.roll(k, 1, 1), np.roll(k, -1, 1)]
     return np.stack(rolled, axis=-1).reshape(n * n, 4)
+
+
+def _stencil_block(table: np.ndarray, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> sp.csr_matrix:
+    """CSR block of a fixed-width stencil on the sites ``rows`` and ``cols``.
+
+    Row k of the (M, w) ``table`` holds the flat indices of the w sites that
+    site k's stencil reads, and the same row of ``weights`` their weights.
+    Row r of the block holds the entries of site ``rows[r]`` whose column is
+    in ``cols``, in the table's order, with each column renumbered by its
+    position in ``cols``; entries in other columns are dropped.  The index
+    arrays are int32.  Every block of the five-point stencil is built here:
+    the PSOR colour gathers from :func:`neighbor_table`, and the free-set and
+    contact-boundary blocks of -C from its CSR arrays.
+    """
+    position = np.full(table.shape[0], -1, dtype=np.int32)
+    position[cols] = np.arange(len(cols), dtype=np.int32)
+    block = position.take(table.take(rows, axis=0))
+    kept = block >= 0
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(kept.sum(axis=1), out=indptr[1:])
+    data = weights.take(rows, axis=0)[kept]
+    return sp.csr_matrix((data, block[kept], indptr), shape=(len(rows), len(cols)))
 
 
 def laplacian_matrix(n: int) -> sp.csc_matrix:

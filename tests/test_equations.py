@@ -335,8 +335,9 @@ class TestNewtonMatchesDirectReference:
 def test_newton_matrix_equals_the_assembled_sum(n):
     # each step writes diag(w) - C into the cached pattern of -C; it must
     # be the sparse sum bit for bit, on the full grid and on a free set.
-    # The free-set solves restrict the same -C: it must equal the
-    # Laplacian's free block times -1/(2 pi), entry for entry.
+    # The free-set solves take their block of the same -C from
+    # _curvature_block: it must equal the Laplacian's free block times
+    # -1/(2 pi), entry for entry.
     rng = np.random.default_rng(n)
     cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
     w = rng.exponential(size=n * n) * 10.0 ** rng.uniform(-3.0, 6.0, n * n)
@@ -346,7 +347,7 @@ def test_newton_matrix_equals_the_assembled_sum(n):
     cases = [
         (maenv._newton._LaggedLU(n).matrix(w), sp.diags(w) - cmat),
         (maenv._newton._LaggedLU(n, idx).matrix(w[idx]), sp.diags(w[idx]) - cmat[idx][:, idx]),
-        (maenv._newton._curvature_operators(n)[0][idx][:, idx], block.tocsr()),
+        (maenv._newton._curvature_block(n, idx), block.tocsr()),
     ]
     for got, want in cases:
         for name in ("data", "indices", "indptr"):

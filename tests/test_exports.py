@@ -1,21 +1,23 @@
-"""Every library module's ``__all__`` names real objects that ``maenv`` re-exports
-and every name ``maenv`` re-exports from it, ``maenv.scenarios`` imports only
-public names, and ``import maenv`` loads no scipy subpackage the library does
-not use."""
+"""Every library module's ``__all__`` names real objects that ``maenv`` re-exports,
+``maenv`` imports each library module by ``*`` and its public names are
+exactly the union of those lists, ``maenv.scenarios`` imports only public
+names, and ``import maenv`` loads no scipy subpackage the library does not
+use."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import maenv
 
-# torus has no __all__; scenarios and the private modules are not re-exported
-LIBRARY_MODULES = ["radial", "obstacle", "equations", "energy", "viscosity", "fields"]
+# scenarios, cli and the private modules are not re-exported
+LIBRARY_MODULES = ["errors", "torus", "radial", "obstacle", "equations", "energy", "viscosity", "fields"]
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
@@ -39,11 +41,22 @@ def _relative_imports(module):
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
 def test_reexported_names_are_in_all(name):
-    module = importlib.import_module(f"maenv.{name}")
-    reexported = [x for source, names in _relative_imports(maenv) if source == name for x in names]
-    assert reexported, f"maenv re-exports nothing from maenv.{name}"
-    unlisted = [x for x in reexported if x not in module.__all__]
-    assert not unlisted, f"maenv re-exports {unlisted}, which maenv.{name}.__all__ does not list"
+    # a ``*`` import republishes the module's __all__ and nothing else
+    imports = [names for source, names in _relative_imports(maenv) if source == name]
+    assert imports == [["*"]], f"maenv/__init__.py imports {imports} from maenv.{name}, not * alone"
+
+
+def test_public_names_are_the_union_of_all():
+    imports = _relative_imports(maenv)
+    by_name = [f"{source}.{names}" for source, names in imports if names != ["*"] or source not in LIBRARY_MODULES]
+    assert not by_name, f"maenv/__init__.py imports by name: {by_name}"
+    public = {
+        x for x, value in vars(maenv).items()
+        if not x.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    listed = [x for name in LIBRARY_MODULES for x in importlib.import_module(f"maenv.{name}").__all__]
+    assert len(listed) == len(set(listed)), "two library modules list the same name"
+    assert public == set(listed)
 
 
 def test_scenarios_import_only_public_names():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from maenv import (
     GridField,
@@ -17,8 +18,10 @@ from maenv import (
     ma_density,
     theta_cosine,
 )
+from maenv._newton import _curvature_operators
 from maenv.fields import _stencil_max, random_smooth_field
-from maenv.torus import laplacian_matrix, neighbor_sum, neighbor_table
+from maenv.obstacle import _colour_split
+from maenv.torus import _stencil_block, laplacian_matrix, neighbor_sum, neighbor_table
 
 from oracles import (
     inf_convolution_reference,
@@ -238,6 +241,69 @@ class TestNeighborTable:
         got = _stencil_max(values)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def stencil_sites(n, kind):
+    """Sorted flat sites of an n x n grid: the whole grid, a strip, a disc, a random share or one site."""
+    x, y = TorusGrid(n).coords()
+    if kind == "full":
+        mask = np.ones((n, n), bool)
+    elif kind == "strip":
+        mask = (x >= 0.25) & (x < 0.375)
+    elif kind == "disc":
+        mask = (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.09
+    elif kind == "site":
+        mask = np.zeros((n, n), bool)
+        mask[n // 3, n // 2] = True
+    else:
+        mask = np.random.default_rng(n + int(kind * 100)).random((n, n)) < kind
+    return np.flatnonzero(mask)
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert got.shape == want.shape
+
+
+class TestStencilBlock:
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("kind", ["full", "strip", "disc", 0.05, 0.3, 0.6, 0.9, "site"])
+    def test_curvature_block_equals_scipy_indexing(self, n, kind):
+        # the block of -C's five-entry rows on a set of sites is scipy's
+        # fancy-indexed block, array for array
+        neg = _curvature_operators(n)[0]
+        sites = stencil_sites(n, kind)
+        got = _stencil_block(neg.indices.reshape(-1, 5), neg.data.reshape(-1, 5), sites, sites)
+        assert_same_csr(got, neg[sites][:, sites])
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_rows_and_columns_on_different_sites(self, n):
+        neg = _curvature_operators(n)[0]
+        rng = np.random.default_rng(n)
+        rows = np.flatnonzero(rng.random(n * n) < 0.4)
+        cols = np.flatnonzero(rng.random(n * n) < 0.7)
+        got = _stencil_block(neg.indices.reshape(-1, 5), neg.data.reshape(-1, 5), rows, cols)
+        assert_same_csr(got, neg[rows][:, cols])
+
+    @pytest.mark.parametrize("n", [8, 10, 32, 64])
+    def test_colour_gathers_equal_the_position_gather(self, n):
+        # the construction the colour gathers had before the block builder:
+        # each colour's neighbours renumbered by their position in the other
+        # colour, one shared data and indptr
+        order, gathers = _colour_split(n)
+        rows = order.shape[1]
+        position = np.empty(n * n, dtype=np.int32)
+        position[order] = np.arange(rows, dtype=np.int32)
+        data = np.ones(4 * rows)
+        indptr = np.arange(0, 4 * rows + 1, 4, dtype=np.int32)
+        for c in (0, 1):
+            idx = position.take(neighbor_table(n).take(order[c], axis=0))
+            want = sp.csr_matrix((data, idx.ravel(), indptr), shape=(rows, rows))
+            assert_same_csr(gathers[c], want)
+        assert gathers[1].data is gathers[0].data and gathers[1].indptr is gathers[0].indptr
 
 
 def test_amplitudes_are_keyword_only():
