@@ -14,25 +14,29 @@ identically zero (full-grid case) or a Dirichlet mask pins the constant mode
 (local case).  A backtracking line search on the squared residual norm keeps
 the iteration inside the monotone basin.
 
-Linear solves: -C is built once per n and cached with its diagonal
-positions; the residual applies it, the free-set solves of the obstacle
-solver and of a Dirichlet mask take its blocks (:func:`_curvature_block`),
-and every Newton matrix is written into its pattern: a step
-copies its data and adds the weights on the diagonal.  The first Newton
-matrix of a call is factored once by sparse LU (minimum-degree ordering on
-A^T + A, which suits the symmetric pattern; no relaxed supernodes and
-panels of 10 columns, which on the five-point pattern make a factorization
-about 40% and a solve 15-20% cheaper than SuperLU's defaults, with the same
-ordering, pivots and fill).
-Each later step solves its own matrix by conjugate gradients preconditioned
-with that factorization, a lagged-Jacobian preconditioner: the matrices of
-consecutive steps differ only in the diagonal.  If CG does not reach the
-relative residual ``_CG_RTOL`` within ``_CG_MAXITER`` iterations, the current
-matrix is factored and solved directly, and that factorization preconditions
-the steps after it.  The CG loop, :func:`conjugate_gradients`, is shared with
-the obstacle solver's free-set solves and their contact-boundary systems;
-its dot products avoid BLAS, so a solve gives the same bits at any BLAS
-thread count.
+Linear solves: every Newton system (diag(w) - C) delta = g is solved on
+the black half of the grid.  The five-point stencil couples only sites of
+opposite colour and the diagonal D = w + 4c (c = 1 / (2 pi h^2)) is
+positive, so the red unknowns drop out exactly (:class:`_RedBlack`): the
+black ones solve the nine-point SPD system S = D_b - c^2 G D_r^-1 G^T, G
+the unit black <- red gather, and one gather gives the red half.  A step
+writes S's data into a two-hop pattern built once per call, or once per
+n for the whole grid, in O(nnz) with no sparse product.  The first S of a
+call is factored once by sparse LU (minimum-degree ordering on A^T + A,
+which suits the symmetric pattern; no relaxed supernodes and panels of 10
+columns, which make a factorization cheaper than SuperLU's defaults with
+the same ordering, pivots and fill).  Each later step solves its own S by
+conjugate gradients preconditioned with that factorization, a
+lagged-Jacobian preconditioner: the matrices of consecutive steps differ
+only in the weights.  If CG does not reach the relative residual
+``_CG_RTOL`` within ``_CG_MAXITER`` iterations, the current S is factored
+and solved directly, and that factorization preconditions the steps after
+it.  -C is built once per n and cached: the residual applies it, and the
+free-set solves of the obstacle solver take its blocks
+(:func:`_curvature_block`).  The CG loop, :func:`conjugate_gradients`, is
+shared with the obstacle solver's free-set solves and their
+contact-boundary systems; its dot products avoid BLAS, so a solve gives
+the same bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NewtonStall, NonConvergence
-from .torus import _stencil_block, laplacian_matrix
+from .torus import _colour_split, _stencil_block, laplacian_matrix, neighbor_table
 
 _EXP_CAP = 500.0  # cap on exponents; keeps overflow out of the line search
 _CG_RTOL = 1e-12  # relative residual of each preconditioned CG solve
@@ -67,7 +71,9 @@ def conjugate_gradients(matvec, b, precondition, stop, maxiter, x0=None):
     Starts from ``x0`` (default 0) and stops once the residual norm is at
     most ``stop``, before the first iteration if the start already passes.
     ``matvec`` applies the operator and ``precondition`` the
-    preconditioner's inverse.  Returns ``(x, iterations, converged)``.
+    preconditioner's inverse, or None for plain CG, which takes r.r of the
+    stopping test as r.z and copies no residual.  Returns
+    ``(x, iterations, converged)``.
     """
     if x0 is None:
         x = np.zeros_like(b)
@@ -75,20 +81,21 @@ def conjugate_gradients(matvec, b, precondition, stop, maxiter, x0=None):
     else:
         x = x0.copy()
         r = b - matvec(x)
-    if np.sqrt(_dot(r, r)) <= stop:
+    rr = _dot(r, r)
+    if np.sqrt(rr) <= stop:
         return x, 0, True
-    z = precondition(r)
-    p = z
-    rz = _dot(r, z)
+    p = r.copy() if precondition is None else precondition(r)
+    rz = rr if precondition is None else _dot(r, p)
     for it in range(1, maxiter + 1):
         q = matvec(p)
         alpha = rz / _dot(p, q)
         x += alpha * p
         r -= alpha * q
-        if np.sqrt(_dot(r, r)) <= stop:
+        rr = _dot(r, r)
+        if np.sqrt(rr) <= stop:
             return x, it, True
-        z = precondition(r)
-        rz, rz_old = _dot(r, z), rz
+        z = r if precondition is None else precondition(r)
+        rz, rz_old = (rr if precondition is None else _dot(r, z)), rz
         p = z + (rz / rz_old) * p
     return x, maxiter, False
 
@@ -137,19 +144,16 @@ def collect_reports():
 
 
 @lru_cache(maxsize=None)
-def _curvature_operators(n):
-    """The negated curvature matrix -C of an n x n grid and its diagonal.
+def _curvature_operator(n):
+    """The negated curvature matrix -C = -laplacian_matrix(n) / (2 pi) of an n x n grid.
 
-    Returns ``(neg, diag)``: ``neg`` is -laplacian_matrix(n) / (2 pi) in
-    CSR with sorted indices, and ``diag`` the positions of its diagonal in
-    ``neg.data``.  Every Newton and free-set solve at size n shares them,
-    so their arrays are read-only.
+    In CSR with sorted indices.  The Newton residual and every free-set
+    solve at size n share it, so its arrays are read-only.
     """
     neg = -(laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
-    diag = _diagonal_positions(neg)
-    for arr in (diag, neg.data, neg.indices, neg.indptr):
+    for arr in (neg.data, neg.indices, neg.indptr):
         arr.flags.writeable = False
-    return neg, diag
+    return neg
 
 
 def _curvature_block(n, sites):
@@ -159,65 +163,178 @@ def _curvature_block(n, sites):
     cached -C, whose five sorted entries a row it keeps in order: it equals
     ``neg[sites][:, sites]`` array for array.
     """
-    neg = _curvature_operators(n)[0]
+    neg = _curvature_operator(n)
     return _stencil_block(neg.indices.reshape(-1, 5), neg.data.reshape(-1, 5), sites, sites)
 
 
-def _diagonal_positions(mat):
-    """Positions in ``mat.data`` of the diagonal of a CSR matrix that stores it in every row."""
-    rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
-    return np.flatnonzero(mat.indices == rows)
+# slots 1-8 of a row of S, after the diagonal: the two-hop steps from a
+# black site through a red neighbour to a black site, as pairs of
+# neighbor_table columns (i-1, i+1, j-1, j+1), the four straight steps of
+# length two, then the four diagonal ones, each of which two red sites
+# reach; _RedBlack.matrix writes the values in this order
+_TWO_HOPS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3))
+
+
+@dataclass(frozen=True)
+class _RedBlack:
+    """The red-black reduction of diag(w) - C on a set of unknowns.
+
+    The five-point stencil couples only sites of opposite colour, so with
+    D = w + 4c on the diagonal, c = 1 / (2 pi h^2) the weight of a
+    neighbour in -C and G the unit black <- red gather, the red unknowns
+    drop out exactly:
+
+        S x_b = g_b + c G (g_r / D_r),    x_r = (g_r + c G^T x_b) / D_r,
+
+    with S = D_b - c^2 G D_r^-1 G^T on the black unknowns, a nine-point
+    matrix, symmetric positive definite whenever diag(w) - C is.  ``red``
+    and ``black`` are the positions of each colour among the unknowns,
+    ``gather`` is G and ``scatter`` G^T (unit CSR, columns numbered by
+    position within the other colour).  Row k of ``pairs`` (4, nb) holds,
+    for every black site, the red position of its neighbour k (i-1, i+1,
+    j-1, j+1), or nr where that neighbour is no unknown.  S's row b holds
+    D_b - sum_k q_k at b, -q_k at the black site two steps along k and
+    -(q_k + q_l) at the diagonal site reached along k and l, where q_k is
+    c^2 / D_r at red neighbour k, 0 if absent; an entry that no red unknown
+    reaches is left out.  Those nine values of every row form a table
+    (9, nb), and ``entries`` lists the positions in it of S's CSR data, row
+    by row with sorted columns, which ``indices`` and ``indptr`` hold
+    (int32).
+    """
+
+    c: float
+    red: np.ndarray
+    black: np.ndarray
+    gather: sp.csr_matrix
+    scatter: sp.csr_matrix
+    pairs: np.ndarray
+    entries: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def build(cls, n, sites=None):
+        """The reduction on the sorted flat ``sites``, or on the whole grid for None.
+
+        The whole grid takes its colours and both gathers from
+        :func:`~maenv.torus._colour_split`; a set of sites takes its
+        gathers from :func:`~maenv.torus._stencil_block` of the same
+        :func:`~maenv.torus.neighbor_table`.
+        """
+        table = neighbor_table(n)
+        if sites is None:
+            (red, black), (scatter, gather) = _colour_split(n)
+            red_sites, black_sites = red, black
+        else:
+            odd = sites // n % 2 != sites % 2
+            red, black = np.flatnonzero(~odd), np.flatnonzero(odd)
+            red_sites, black_sites = sites[red], sites[black]
+            ones = np.broadcast_to(1.0, table.shape)
+            gather = _stencil_block(table, ones, black_sites, red_sites)
+            scatter = _stencil_block(table, ones, red_sites, black_sites)
+        nr, nb = red.size, black.size
+        position = np.full(n * n, -1, dtype=np.int32)
+        position[red_sites] = np.arange(nr, dtype=np.int32)
+        first = table.take(black_sites, axis=0)
+        pairs = position.take(first)
+        reached = pairs >= 0
+        pairs[~reached] = nr
+        position[:] = -1
+        position[black_sites] = np.arange(nb, dtype=np.int32)
+        cols = np.empty((nb, 9), dtype=np.int32)
+        keep = np.ones((nb, 9), dtype=bool)
+        cols[:, 0] = np.arange(nb, dtype=np.int32)
+        for slot, (k, l) in enumerate(_TWO_HOPS, start=1):
+            cols[:, slot] = position.take(table[first[:, k], l])
+            keep[:, slot] = (cols[:, slot] >= 0) & (reached[:, k] | reached[:, l])
+        # each row's kept columns in ascending order, the others after them
+        cols[~keep] = nb
+        slots = np.argsort(cols, axis=1, kind="stable")
+        cols = np.take_along_axis(cols, slots, axis=1)
+        kept = cols < nb
+        entries = (slots * nb + np.arange(nb)[:, None])[kept].astype(np.int32)
+        indptr = np.zeros(nb + 1, dtype=np.int32)
+        np.cumsum(kept.sum(axis=1), out=indptr[1:])
+        c = 1.0 / (1.0 / n) ** 2 / (2.0 * np.pi)
+        return cls(c, red, black, gather, scatter, np.ascontiguousarray(pairs.T), entries, cols[kept], indptr)
+
+    def matrix(self, d):
+        """S in CSR for the diagonal ``d`` = w + 4c of diag(w) - C on the unknowns."""
+        nb = self.black.size
+        q = np.zeros(self.red.size + 1)
+        np.divide(self.c * self.c, d[self.red], out=q[:-1])
+        qs = q.take(self.pairs)
+        rows = np.empty((9, nb))
+        np.add(qs[0], qs[1], out=rows[0])
+        rows[0] += qs[2]
+        rows[0] += qs[3]
+        np.subtract(d[self.black], rows[0], out=rows[0])
+        np.negative(qs, out=rows[1:5])
+        np.add(qs[:2, None], qs[None, 2:], out=rows[5:].reshape(2, 2, nb))
+        np.negative(rows[5:], out=rows[5:])
+        data = rows.ravel().take(self.entries)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(nb, nb))
+
+
+@lru_cache(maxsize=None)
+def _grid_red_black(n):
+    """:class:`_RedBlack` of the whole n x n grid, cached per n with read-only arrays."""
+    rb = _RedBlack.build(n)
+    for arr in (rb.pairs, rb.entries, rb.indices, rb.indptr):
+        arr.flags.writeable = False
+    return rb
 
 
 class _LaggedLU:
     """Solves with diag(w) - C for a sequence of weights w, reusing one LU.
 
     C is the curvature matrix of an n x n grid, restricted to the sites
-    ``idx`` when given (once per call).  Every matrix is written into the
-    pattern of -C: a copy of its data plus w at the diagonal positions,
-    wrapped with the shared index arrays.  That is sp.diags(w) - C bit for
-    bit, since w - c == (-c) + w and the pattern stores every diagonal
-    entry.  The first solve factors its matrix; later ones run CG
-    preconditioned with that factorization and refactor only when CG misses
-    ``_CG_RTOL`` within ``_CG_MAXITER`` iterations.
+    ``idx`` when given (once per call).  Every solve eliminates the red
+    unknowns (:class:`_RedBlack`, cached per n for the whole grid) and
+    solves the reduced matrix S of the black ones, whose data each step
+    writes into the reduction's pattern; one gather then gives the red
+    half.  The first solve factors its S; later ones run CG on their S
+    preconditioned with that factorization and refactor only when CG
+    misses ``_CG_RTOL`` within ``_CG_MAXITER`` iterations.  The residual
+    of the reduced system is that of the full one, since the back
+    substitution solves the red rows exactly, so CG stops at ``_CG_RTOL``
+    times the norm of the full right-hand side.
     """
 
     def __init__(self, n, idx=None):
-        neg, diag = _curvature_operators(n)
-        if idx is not None:
-            neg = _curvature_block(n, idx)
-            diag = _diagonal_positions(neg)
-        self.neg = neg
-        self.diag = diag
+        self.rb = _grid_red_black(n) if idx is None else _RedBlack.build(n, idx)
         self.lu = None
         self.factorizations = 0
         self.cg_iterations = 0
 
-    def matrix(self, w):
-        data = self.neg.data.copy()
-        data[self.diag] += w
-        return sp.csr_matrix((data, self.neg.indices, self.neg.indptr), shape=self.neg.shape)
-
     def solve(self, w, g):
-        m = self.matrix(w)
+        rb = self.rb
+        d = w + 4.0 * rb.c
+        dr, gr = d[rb.red], g[rb.red]
+        s = rb.matrix(d)
+        b = g[rb.black] + rb.c * rb.gather.dot(gr / dr)
+        xb = None
         if self.lu is not None:
             stop = _CG_RTOL * np.sqrt(_dot(g, g))
-            delta, its, converged = conjugate_gradients(m.dot, g, self.lu.solve, stop, _CG_MAXITER)
+            xb, its, converged = conjugate_gradients(s.dot, b, self.lu.solve, stop, _CG_MAXITER)
             self.cg_iterations += its
-            if converged:
-                return delta
-        # m is symmetric, so m.T, the CSC view of its arrays, is m; minimum
-        # degree on A^T + A suits the symmetric pattern (about half the fill
-        # of the default column ordering).  relax=1 turns off SuperLU's
-        # relaxed supernodes (default 10) and panel_size=10 halves the
-        # default panel of 20 columns: on this pattern the merged dense
-        # blocks cost more than they save.  Ordering, pivots and fill stay
-        # the default's; at n = 64 a factorization takes 8.8 ms against
-        # 13.7 ms and a solve 0.27 ms against 0.34 ms (2 vCPUs, one BLAS
-        # thread).
-        self.lu = spla.splu(m.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=10)
-        self.factorizations += 1
-        return self.lu.solve(g)
+            if not converged:
+                xb = None
+        if xb is None:
+            # S is symmetric, so S.T, the CSC view of its arrays, is S;
+            # minimum degree on A^T + A suits the symmetric pattern (about
+            # half the fill of the default column ordering).  relax=1 turns
+            # off SuperLU's relaxed supernodes (default 10) and
+            # panel_size=10 halves the default panel of 20 columns: on the
+            # five-point pattern the merged dense blocks cost more than
+            # they save, and they do on S's nine-point pattern too.
+            self.lu = spla.splu(s.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=10)
+            self.factorizations += 1
+            xb = self.lu.solve(b)
+        x = np.empty_like(g)
+        x[rb.black] = xb
+        x[rb.red] = (gr + rb.c * rb.scatter.dot(xb)) / dr
+        return x
 
 
 def newton_semilinear(
@@ -238,7 +355,7 @@ def newton_semilinear(
     both carrying the best iterate.
     """
     n = theta.shape[0]
-    neg = _curvature_operators(n)[0]
+    neg = _curvature_operator(n)
     th = theta.ravel()
     flat_terms = [
         (float(s), np.asarray(off, dtype=float).ravel(), np.asarray(rho, dtype=float).ravel())

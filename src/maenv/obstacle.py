@@ -14,6 +14,8 @@ Two independent routes to the same envelope:
   half grid, solved the same way and prolonged bilinearly, then smoothed
   by Gauss-Seidel sweeps before the optimal relaxation factor takes over;
   where the half grid cannot help, they start from the constant min(h).
+  An obstacle imposed everywhere that is already theta-psh to the
+  tolerance is its own envelope and takes no sweep.
   :func:`psor_envelopes` sweeps several obstacles on one grid as one
   stack: the sweep stores each colour of every stacked problem as a column
   of one array, so one sparse product gathers the neighbour sums of all of
@@ -59,11 +61,10 @@ from .torus import (
     GridField,
     MeasureDensity,
     ThetaDensity,
-    _stencil_block,
+    _colour_split,
     curvature_values,
     ma_density,
     neighbor_sum,
-    neighbor_table,
 )
 
 _PSOR_TOL = 1e-9  # natural residual every envelope is solved to
@@ -126,31 +127,6 @@ def _natural_residual(u, hproj, theta, h):
     if gap.ndim == 2:
         return float(gap.max())
     return np.ascontiguousarray(gap.reshape(-1, gap.shape[2]).T).max(axis=1).tolist()
-
-
-@lru_cache(maxsize=None)
-def _colour_split(n):
-    """Red-black split of an n x n grid and the sparse gathers between colours.
-
-    ``order[c]`` holds the flat indices of the sites (i, j) with i + j = c
-    (mod 2) in row-major order, so ``values.ravel()[order]`` stores a grid
-    as two colour vectors.  Row r of gather c sums, with unit weights and in
-    the order i-1, i+1, j-1, j+1, the four neighbours of colour c's r-th
-    site, which all have the other colour: :func:`_stencil_block` of
-    :func:`neighbor_table` drops none of them, so both gathers share one
-    ``data`` and ``indptr``.  Every PSOR call at size n shares the cached
-    split, so its arrays are read-only.
-    """
-    odd = np.arange(n) % 2 == 1
-    colour = odd[:, None] ^ odd
-    order = np.stack([np.flatnonzero(colour == c) for c in (0, 1)])
-    table = neighbor_table(n)
-    ones = np.broadcast_to(1.0, table.shape)
-    red, black = (_stencil_block(table, ones, order[c], order[1 - c]) for c in (0, 1))
-    black.data, black.indptr = red.data, red.indptr
-    for arr in (order, red.data, red.indices, red.indptr, black.indices):
-        arr.flags.writeable = False
-    return order, (red, black)
 
 
 def _psor_values(theta, hproj, tol, max_iter, init, smooth=False):
@@ -446,7 +422,7 @@ def _free_set_solve(u, theta, h, free):
     start, boundary_its = None, 0
     if idx.size >= _BOUNDARY_MIN_FREE * n * n:
         start, boundary_its = _boundary_start(r, free)
-    e, its, _ = conjugate_gradients(op.dot, r, np.copy, _CG_RTOL * np.sqrt(_dot(r, r)), _CG_MAXITER, start)
+    e, its, _ = conjugate_gradients(op.dot, r, None, _CG_RTOL * np.sqrt(_dot(r, r)), _CG_MAXITER, start)
     out = u.copy()
     out.ravel()[idx] += e
     return out, boundary_its + its
@@ -500,9 +476,13 @@ def psor_envelopes(
     on masked nodes (envelope relative to a measure supported there), and
     elsewhere the equation ma = 0 holds.
 
-    All obstacles live on theta's grid.  Their PSOR sweeps run together as
-    one stack (:func:`_nested_sweeps`, :func:`_psor_values`) until each
-    residual is at most ``max(tol, _HANDOVER_TOL)``, starting from the
+    All obstacles live on theta's grid.  An obstacle imposed everywhere
+    whose natural residual at u = h is at most tol is its own envelope: it
+    returns h at once, with a report of 0 sweeps, 0 coarse sweeps and 0 CG
+    iterations whose history is that one residual.  The PSOR sweeps of the
+    others run together as one stack (:func:`_nested_sweeps`,
+    :func:`_psor_values`) until each residual is at most
+    ``max(tol, _HANDOVER_TOL)``, starting from the
     half-grid solution where it can be used (Gauss-Seidel for the first
     sweeps) and from the constant min(h) otherwise; a problem leaves the
     stack at the first residual check it passes, so every problem gets the
@@ -515,7 +495,8 @@ def psor_envelopes(
     the CG iterations of the free-set solves and of the boundary systems
     that start them.  The reports are built in input order.
 
-    Raises :class:`ValueError` for an obstacle or mask off theta's grid,
+    An empty list of obstacles gives an empty list of solutions.  Raises
+    :class:`ValueError` for an obstacle or mask off theta's grid,
     :class:`EmptySupport` for an empty mask, and, once every problem is
     solved, the first failing problem's :class:`NonConvergence` (carrying
     its best iterate) if a sweep budget is exhausted.
@@ -525,7 +506,7 @@ def psor_envelopes(
     masks = [None] * len(obstacles) if constraint_masks is None else list(constraint_masks)
     if len(masks) != len(obstacles):
         raise ValueError("one constraint mask per obstacle")
-    hprojs = []
+    hprojs, swept = [], []
     for obstacle, mask in zip(obstacles, masks):
         if obstacle.grid.n != grid.n:
             raise ValueError("obstacle and theta grids differ")
@@ -538,9 +519,19 @@ def psor_envelopes(
                 raise EmptySupport("constraint mask is empty")
             hproj = np.where(mask, hproj, np.inf)
         hprojs.append(hproj)
+        done = None
+        if mask is None or mask.all():
+            # an obstacle that is its own envelope: u = h certifies tol
+            res = _natural_residual(hproj, hproj, th, grid.h)
+            if res <= tol:
+                done = (hproj, 0, res, [res], True, 0)
+        swept.append(done)
 
-    handover = max(tol, _HANDOVER_TOL)
-    swept = _nested_sweeps(th, _stack(hprojs), handover, max_iter)
+    rest = [i for i, done in enumerate(swept) if done is None]
+    if rest:
+        stack = _stack([hprojs[i] for i in rest])
+        for i, sweep in zip(rest, _nested_sweeps(th, stack, max(tol, _HANDOVER_TOL), max_iter)):
+            swept[i] = sweep
     solutions = []
     for hproj, sweep in zip(hprojs, swept):
         u, sweeps, res, history, ok, coarse_sweeps = sweep

@@ -19,6 +19,7 @@ signed defect array, positive where the inequality is violated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -279,8 +280,9 @@ def _stencil_block(table: np.ndarray, weights: np.ndarray, rows: np.ndarray, col
     in ``cols``, in the table's order, with each column renumbered by its
     position in ``cols``; entries in other columns are dropped.  The index
     arrays are int32.  Every block of the five-point stencil is built here:
-    the PSOR colour gathers from :func:`neighbor_table`, and the free-set and
-    contact-boundary blocks of -C from its CSR arrays.
+    the colour gathers from :func:`neighbor_table`, for the whole grid
+    (:func:`_colour_split`) or for a Newton call's masked sites, and the
+    free-set and contact-boundary blocks of -C from its CSR arrays.
     """
     position = np.full(table.shape[0], -1, dtype=np.int32)
     position[cols] = np.arange(len(cols), dtype=np.int32)
@@ -295,6 +297,32 @@ def _stencil_block(table: np.ndarray, weights: np.ndarray, rows: np.ndarray, col
     np.cumsum(counts, out=indptr[1:])
     data = weights.take(rows, axis=0)[kept]
     return sp.csr_matrix((data, block[kept], indptr), shape=(len(rows), len(cols)))
+
+
+@lru_cache(maxsize=None)
+def _colour_split(n: int):
+    """Red-black split of an n x n grid and the sparse gathers between colours.
+
+    ``order[c]`` holds the flat indices of the sites (i, j) with i + j = c
+    (mod 2) in row-major order, red (c = 0) then black, so
+    ``values.ravel()[order]`` stores a grid as two colour vectors.  Row r of
+    gather c sums, with unit weights and in the order i-1, i+1, j-1, j+1,
+    the four neighbours of colour c's r-th site, which all have the other
+    colour: :func:`_stencil_block` of :func:`neighbor_table` drops none of
+    them, so both gathers share one ``data`` and ``indptr``.  The PSOR
+    half-sweeps and the Newton layer's red-black reduction share the cached
+    split, so its arrays are read-only.
+    """
+    odd = np.arange(n) % 2 == 1
+    colour = odd[:, None] ^ odd
+    order = np.stack([np.flatnonzero(colour == c) for c in (0, 1)])
+    table = neighbor_table(n)
+    ones = np.broadcast_to(1.0, table.shape)
+    red, black = (_stencil_block(table, ones, order[c], order[1 - c]) for c in (0, 1))
+    black.data, black.indptr = red.data, red.indptr
+    for arr in (order, red.data, red.indices, red.indptr, black.indices):
+        arr.flags.writeable = False
+    return order, (red, black)
 
 
 def laplacian_matrix(n: int) -> sp.csc_matrix:

@@ -22,7 +22,7 @@ from maenv import (
 from maenv.errors import EmptySupport, NonConvergence
 from maenv.fields import random_theta_psh, step_band, supersolution_corpus
 from maenv.torus import MeasureDensity, curvature_values, neighbor_sum
-from maenv import _newton, obstacle
+from maenv import _newton, obstacle, torus
 from maenv.obstacle import (
     PenalizationSchedule,
     _natural_residual,
@@ -203,8 +203,8 @@ class TestPsorSweepMatchesReference:
 
 
 def test_cached_colour_split_is_read_only():
-    order, gathers = obstacle._colour_split(16)
-    assert obstacle._colour_split(16)[0] is order
+    order, gathers = torus._colour_split(16)
+    assert torus._colour_split(16)[0] is order
     for arr in (order, *(a for g in gathers for a in (g.data, g.indices, g.indptr))):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
@@ -282,16 +282,25 @@ class TestActiveSetFinishMatchesPsor:
     # n = 128 starts from the coarse levels 64, 32 and 16
     @pytest.mark.parametrize("n", [32, 64, 128])
     @pytest.mark.parametrize(
-        "make_obstacle, make_mask",
-        [case[1:] for case in CROSS_CHECK_CASES],
+        "name, make_obstacle, make_mask",
+        CROSS_CHECK_CASES,
         ids=[case[0] for case in CROSS_CHECK_CASES],
     )
-    def test_agrees_with_psor(self, n, make_obstacle, make_mask):
+    def test_agrees_with_psor(self, n, name, make_obstacle, make_mask):
         with _newton.collect_reports() as collected:
             sol = self.check(n, make_obstacle, make_mask)
         report = sol.report
         # the coarse levels add no report of their own
         assert collected == [report]
+        if name == "corpus-0":
+            # this obstacle is theta-psh, its own envelope: returned at once
+            # after the one residual check, with no sweep and no CG
+            h = make_obstacle(TorusGrid(n))
+            assert is_theta_psh(theta_cosine(TorusGrid(n)), GridField(TorusGrid(n), h), self.TOL).passed
+            assert np.array_equal(sol.u.values, h)
+            assert (report.iterations, report.coarse_sweeps, report.cg_iterations) == (0, 0, 0)
+            assert report.history == [report.residual]
+            return
         assert report.coarse_sweeps > 0
         # the sweeps stopped at the first residual check (one history entry
         # per 8 sweeps) below the handover residual, so PSOR never resumed;
@@ -372,7 +381,7 @@ class TestBoundaryStart:
         # free-set CG after it takes at most a few iterations
         assert its - boundary_its <= 3
         idx = np.flatnonzero(free)
-        op = _newton._curvature_operators(n)[0][idx][:, idx]
+        op = _newton._curvature_operator(n)[idx][:, idx]
         r = (theta + curvature_values(u, h)).ravel()[idx]
         want = u.copy()
         want.ravel()[idx] = spsolve(op.tocsc(), r)
@@ -465,7 +474,7 @@ def test_green_kernel_inverts_minus_c(n):
     # by the FFT symbol
     symbol, kernel = obstacle._green(n)
     assert obstacle._green(n)[1] is kernel
-    neg = _newton._curvature_operators(n)[0]
+    neg = _newton._curvature_operator(n)
     i, j = np.divmod(np.arange(n * n), n)
     for site in (0, n + 1, n * n // 2 + n // 3, n * n - 1):
         column = neg[:, [site]].toarray().ravel()
@@ -607,6 +616,28 @@ class TestStackedSweepsMatchSolo:
         stacked, alone = solve_stack_and_alone(theta, obstacles, [None] * 3, tol=1e-9)
         self.assert_same(stacked, alone)
         assert all(sol.report.coarse_sweeps == 0 for sol in stacked)
+
+    def test_own_envelopes_leave_the_stack(self):
+        # a theta-psh obstacle imposed everywhere, with no mask or a mask of
+        # every site, is returned at once; the rest of the stack gets its
+        # solo result
+        grid = TorusGrid(64)
+        theta = theta_cosine(grid)
+        psh = supersolution_corpus(grid)[0].v
+        obstacles = [psh, GridField(grid, smooth_obstacle(64)), psh, GridField(grid, crossing_min(grid, 0))]
+        masks = [None, None, np.ones((64, 64), dtype=bool), None]
+        stacked, alone = solve_stack_and_alone(theta, obstacles, masks, tol=1e-9)
+        self.assert_same(stacked, alone)
+        for sol in stacked[::2]:
+            assert np.array_equal(sol.u.values, psh.values)
+            assert (sol.report.iterations, sol.report.coarse_sweeps, sol.report.cg_iterations) == (0, 0, 0)
+            assert sol.contact_mask.all() and sol.complementarity_defect == 0.0
+        assert all(sol.report.iterations > 0 for sol in stacked[1::2])
+
+    def test_no_obstacles(self):
+        theta = theta_cosine(TorusGrid(16))
+        assert psor_envelopes(theta, []) == []
+        assert psor_envelopes(theta, [], constraint_masks=[]) == []
 
     def test_first_failure_in_input_order_is_raised(self):
         grid = TorusGrid(64)

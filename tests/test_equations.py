@@ -32,7 +32,7 @@ from maenv.equations import (
 from maenv.errors import FamilyExhausted, InputNotSupersolution, NoSubsolution
 from maenv.obstacle import PenalizationSchedule, penalized_envelope
 from maenv.torus import MeasureDensity
-from maenv.torus import integrate, laplacian_matrix
+from maenv.torus import integrate, laplacian_matrix, neighbor_table
 
 from oracles import newton_direct_reference, spectral_exponential_1d
 
@@ -331,38 +331,88 @@ class TestNewtonMatchesDirectReference:
             assert rep.factorizations == rep.iterations
 
 
+def isolated_sites_mask(n, rng):
+    """A random 60% of the sites, with two sites of each colour cut off from the rest."""
+    mask = rng.random((n, n)) < 0.6
+    for i, j in ((1, 1), (n // 2, n // 2), (1, 4), (n // 2 + 1, 2)):
+        mask[[i - 1, i + 1, i, i], [j, j, j - 1, j + 1]] = False
+        mask[i, j] = True
+    return mask.ravel()
+
+
+def newton_matrix(n, w, idx):
+    """diag(w) - C assembled by scipy, on the sites ``idx`` (None: all)."""
+    m = (sp.diags(w) - laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
+    return m if idx is None else m[idx][:, idx]
+
+
 @pytest.mark.parametrize("n", [8, 24, 32])
 def test_newton_matrix_equals_the_assembled_sum(n):
-    # each step writes diag(w) - C into the cached pattern of -C; it must
-    # be the sparse sum bit for bit, on the full grid and on a free set.
-    # The free-set solves take their block of the same -C from
-    # _curvature_block: it must equal the Laplacian's free block times
-    # -1/(2 pi), entry for entry.
+    # each step writes the reduced matrix S into the cached two-hop pattern;
+    # it must be scipy's Schur complement D_b - B D_r^-1 B^T of the black
+    # block of diag(w) - C, pattern for pattern and entry for entry up to
+    # rounding, on the full grid and on a free set with isolated sites.
+    # The free-set solves take their block of -C from _curvature_block: it
+    # must equal the Laplacian's free block times -1/(2 pi), entry for entry.
     rng = np.random.default_rng(n)
-    cmat = (laplacian_matrix(n) / (2.0 * np.pi)).tocsr()
     w = rng.exponential(size=n * n) * 10.0 ** rng.uniform(-3.0, 6.0, n * n)
     w[rng.random(n * n) < 0.2] = 0.0
-    idx = np.flatnonzero(rng.random(n * n) < 0.6)
-    block = laplacian_matrix(n)[idx][:, idx] * (-1.0 / (2.0 * np.pi))
-    cases = [
-        (maenv._newton._LaggedLU(n).matrix(w), sp.diags(w) - cmat),
-        (maenv._newton._LaggedLU(n, idx).matrix(w[idx]), sp.diags(w[idx]) - cmat[idx][:, idx]),
-        (maenv._newton._curvature_block(n, idx), block.tocsr()),
-    ]
-    for got, want in cases:
-        for name in ("data", "indices", "indptr"):
+    mask = isolated_sites_mask(n, rng)
+    for idx in (None, np.flatnonzero(mask)):
+        m = newton_matrix(n, w, idx)
+        rb = maenv._newton._LaggedLU(n, idx).rb
+        d = m.diagonal()
+        b = m[rb.black][:, rb.red]
+        want = (sp.diags(d[rb.black]) - b @ sp.diags(1.0 / d[rb.red]) @ b.T).tocsr()
+        want.sort_indices()
+        got = rb.matrix(d)
+        for name in ("indices", "indptr"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert np.all(np.abs(got.data - want.data) <= 1e-14 * np.abs(want.data))
+        if idx is not None:
+            # a black site with no free neighbour keeps only its diagonal D_b
+            lone = ~mask[neighbor_table(n)[idx[rb.black]]].any(axis=1)
+            assert lone.sum() >= 2
+            assert np.all(np.diff(got.indptr)[lone] == 1)
+            assert np.array_equal(got.data[got.indptr[:-1][lone]], d[rb.black][lone])
+    idx = np.flatnonzero(mask)
+    block = laplacian_matrix(n)[idx][:, idx] * (-1.0 / (2.0 * np.pi))
+    got = maenv._newton._curvature_block(n, idx)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(block.tocsr(), name).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("free", ["full", "isolated_sites"])
+@pytest.mark.parametrize("weights", ["random", "one_site"])
+def test_reduced_solve_solves_the_full_system(n, free, weights):
+    # the black half from S (first by the factorization, then by CG
+    # preconditioned with it) and the red half by back substitution solve
+    # diag(w) - C on the unknowns to 1e-12 relative residual
+    rng = np.random.default_rng(n)
+    idx = None if free == "full" else np.flatnonzero(isolated_sites_mask(n, rng))
+    unknowns = np.arange(n * n) if idx is None else idx
+    w = rng.uniform(0.0, 1e6, n * n)
+    if weights == "one_site":
+        w[np.arange(n * n) != rng.choice(unknowns)] = 0.0
+    solver = maenv._newton._LaggedLU(n, idx)
+    for scale in (1.0, 1.5):
+        m = newton_matrix(n, scale * w, idx)
+        g = rng.standard_normal(unknowns.size)
+        x = solver.solve(scale * w[unknowns], g)
+        assert np.abs(m @ x - g).max() <= 1e-12 * np.abs(g).max()
+    assert solver.factorizations == 1
 
 
 @pytest.mark.parametrize("n", [8, 32, 64])
 @pytest.mark.parametrize("weights", ["random", "zero_on_80_percent", "one_site"])
 def test_direct_solve_matches_default_superlu(n, weights):
-    # the first solve factors with the Newton layer's SuperLU settings (no
-    # relaxed supernodes, panels of 10): it must solve the system and agree
-    # with a default-settings factorization.  With one weighted site only
-    # that site pins the constant mode; at n = 64 two orderings then differ
-    # by about 1.1e-12 at rounding (the default settings on the same
-    # minimum-degree ordering too), so that case is held to 2e-12.
+    # the first solve factors the reduced matrix S with the Newton layer's
+    # SuperLU settings (no relaxed supernodes, panels of 10): it must solve
+    # the full system and agree with a default-settings factorization of
+    # the full matrix.  With one weighted site only that site pins the
+    # constant mode; at n = 64 two orderings then differ by about 1.1e-12
+    # at rounding, so that case is held to 2e-12.
     rng = np.random.default_rng(n)
     w = rng.uniform(0.0, 1e6, n * n)
     if weights == "zero_on_80_percent":
@@ -373,21 +423,26 @@ def test_direct_solve_matches_default_superlu(n, weights):
     solver = maenv._newton._LaggedLU(n)
     x = solver.solve(w, g)
     assert solver.factorizations == 1
-    m = solver.matrix(w)
+    m = newton_matrix(n, w, None)
     assert np.abs(m @ x - g).max() <= 1e-12 * np.abs(g).max()
     ref = spla.splu(m.tocsc()).solve(g)
     tol = 2e-12 if weights == "one_site" else 1e-12
     assert np.abs(x - ref).max() <= tol * np.abs(ref).max()
-    # the same ordering under SuperLU's default supernodes and panels: the
-    # settings move only the rounding
-    same_order = spla.splu(m.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(g)
-    assert np.abs(x - same_order).max() <= 1e-13 * np.abs(same_order).max()
+    # S's factorization against the same ordering under SuperLU's default
+    # supernodes and panels: the settings move only the rounding
+    s = solver.rb.matrix(m.diagonal())
+    b = g[solver.rb.black]
+    same_order = spla.splu(s.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(b)
+    assert np.abs(solver.lu.solve(b) - same_order).max() <= 1e-13 * np.abs(same_order).max()
 
 
 def test_cached_newton_operators_are_read_only():
-    neg, diag = maenv._newton._curvature_operators(16)
-    assert maenv._newton._curvature_operators(16)[0] is neg
-    for arr in (diag, neg.data, neg.indices, neg.indptr):
+    neg = maenv._newton._curvature_operator(16)
+    rb = maenv._newton._grid_red_black(16)
+    assert maenv._newton._curvature_operator(16) is neg
+    assert maenv._newton._grid_red_black(16) is rb
+    arrays = (neg.data, neg.indices, neg.indptr, rb.red, rb.black, rb.pairs, rb.entries, rb.indices, rb.indptr)
+    for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
 

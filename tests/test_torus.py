@@ -18,10 +18,9 @@ from maenv import (
     ma_density,
     theta_cosine,
 )
-from maenv._newton import _curvature_operators
+from maenv._newton import _curvature_operator
 from maenv.fields import _stencil_max, random_smooth_field
-from maenv.obstacle import _colour_split
-from maenv.torus import _stencil_block, laplacian_matrix, neighbor_sum, neighbor_table
+from maenv.torus import _colour_split, _stencil_block, laplacian_matrix, neighbor_sum, neighbor_table
 
 from oracles import (
     inf_convolution_reference,
@@ -274,14 +273,14 @@ class TestStencilBlock:
     def test_curvature_block_equals_scipy_indexing(self, n, kind):
         # the block of -C's five-entry rows on a set of sites is scipy's
         # fancy-indexed block, array for array
-        neg = _curvature_operators(n)[0]
+        neg = _curvature_operator(n)
         sites = stencil_sites(n, kind)
         got = _stencil_block(neg.indices.reshape(-1, 5), neg.data.reshape(-1, 5), sites, sites)
         assert_same_csr(got, neg[sites][:, sites])
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_rows_and_columns_on_different_sites(self, n):
-        neg = _curvature_operators(n)[0]
+        neg = _curvature_operator(n)
         rng = np.random.default_rng(n)
         rows = np.flatnonzero(rng.random(n * n) < 0.4)
         cols = np.flatnonzero(rng.random(n * n) < 0.7)
