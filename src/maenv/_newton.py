@@ -313,14 +313,12 @@ class _LaggedLU:
         dr, gr = d[rb.red], g[rb.red]
         s = rb.matrix(d)
         b = g[rb.black] + rb.c * rb.gather.dot(gr / dr)
-        xb = None
+        converged = False
         if self.lu is not None:
             stop = _CG_RTOL * np.sqrt(_dot(g, g))
             xb, its, converged = conjugate_gradients(s.dot, b, self.lu.solve, stop, _CG_MAXITER)
             self.cg_iterations += its
-            if not converged:
-                xb = None
-        if xb is None:
+        if not converged:
             # S is symmetric, so S.T, the CSC view of its arrays, is S;
             # minimum degree on A^T + A suits the symmetric pattern (about
             # half the fill of the default column ordering).  relax=1 turns
