@@ -34,9 +34,10 @@ and solved directly, and that factorization preconditions the steps after
 it.  -C is built once per n and cached: the residual applies it, and the
 free-set solves of the obstacle solver take its blocks
 (:func:`_curvature_block`).  The CG loop, :func:`conjugate_gradients`, is
-shared with the obstacle solver's free-set solves and their
-contact-boundary systems; its dot products avoid BLAS, so a solve gives
-the same bits at any BLAS thread count.
+shared with the obstacle solver's free-set solves, each of which runs it
+once, on the free-set block or on the contact-boundary system; its dot
+products avoid BLAS, so a solve gives the same bits at any BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -65,22 +66,17 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a, b))
 
 
-def conjugate_gradients(matvec, b, precondition, stop, maxiter, x0=None):
+def conjugate_gradients(matvec, b, precondition, stop, maxiter):
     """Preconditioned conjugate gradients for a symmetric positive definite system.
 
-    Starts from ``x0`` (default 0) and stops once the residual norm is at
-    most ``stop``, before the first iteration if the start already passes.
-    ``matvec`` applies the operator and ``precondition`` the
-    preconditioner's inverse, or None for plain CG, which takes r.r of the
-    stopping test as r.z and copies no residual.  Returns
-    ``(x, iterations, converged)``.
+    Starts from 0 and stops once the residual norm is at most ``stop``,
+    before the first iteration if |b| already passes.  ``matvec`` applies
+    the operator and ``precondition`` the preconditioner's inverse, or None
+    for plain CG, which takes r.r of the stopping test as r.z and copies no
+    residual.  Returns ``(x, iterations, converged)``.
     """
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0.copy()
-        r = b - matvec(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     rr = _dot(r, r)
     if np.sqrt(rr) <= stop:
         return x, 0, True
@@ -111,9 +107,10 @@ class SolverReport:
     ``factorizations`` and ``cg_iterations`` count the work of Newton's
     linear solves.  For PSOR, ``iterations`` counts sweeps,
     ``coarse_sweeps`` the sweeps of its coarse-grid start (0 for Newton),
-    ``cg_iterations`` the CG iterations of its active-set steps, those of
-    the contact-boundary systems that start the large free-set solves (kb
-    unknowns each) plus those of the free-set solves themselves, and
+    ``cg_iterations`` the CG iterations of its active-set steps, one system
+    per free-set solve: the contact-boundary system of a large free set (kb
+    unknowns), or the free-set block of a small one or of one whose
+    boundary CG missed its cap (that miss's iterations included), and
     ``factorizations`` stays 0.  Inside :func:`collect_reports` every
     report appends itself to the collected list when it is built.
     """

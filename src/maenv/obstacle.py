@@ -23,13 +23,13 @@ Two independent routes to the same envelope:
   passes.  Once the natural residual is below ``_HANDOVER_TOL`` the
   sweeps stop and primal-dual active-set steps (Hintermueller, Ito &
   Kunisch, SIAM J. Optim. 13, 2003) finish the solve: each fixes u = h on
-  a contact set and solves the equation on the free sites by conjugate
-  gradients.  When the free set is large, that CG starts from the exact
-  solve reduced to the contact set's boundary, point sources there
-  through the periodic Green's function (the capacitance-matrix method),
-  which leaves it at most a few iterations.  If no step certifies the
-  tolerance, the sweeps resume.  The active-set steps and resumed sweeps
-  take one problem at a time.
+  a contact set and solves the equation on the free sites by one
+  conjugate-gradient solve.  A large free set is solved through its
+  contact boundary alone: point sources there through the periodic
+  Green's function (the capacitance-matrix method), a system of the
+  boundary's size; a small one by CG on the free-set block.  If no step
+  certifies the tolerance, the sweeps resume.  The active-set steps and
+  resumed sweeps take one problem at a time.
 
 * :func:`penalized_step` solves the smooth penalized equation
 
@@ -72,7 +72,7 @@ _HANDOVER_TOL = 1e-2  # PSOR residual at which the active-set steps take over
 _ACTIVE_SET_STEPS = 8  # active-set steps before PSOR resumes
 _CG_RTOL = 1e-13  # relative residual of each free-set CG solve
 _CG_MAXITER = 500  # CG iterations per free-set solve
-# Free-site share from which a free-set solve starts from its contact-boundary
+# Free-site share from which a free set is solved by its contact-boundary
 # system.  Below it, on the thin strips between min-principle's crossing
 # pairs, the boundary is as large as the free set: at n = 64 (free share
 # 0.08-0.10, kb 568-677) the boundary route took 14-23 ms a solve against
@@ -138,19 +138,22 @@ def _psor_values(theta, hproj, tol, max_iter, init, smooth=False):
     stored as an array (2, n^2/2, k): each colour's sites in row-major
     order, one column per problem.  A half-sweep gathers a colour's
     neighbour sums from the other colour for every problem by one sparse
-    product with the k columns, then relaxes the colour in place.  A colour's neighbours all have the other colour,
-    so this is the same Jacobi step per colour as relaxing the whole grid
-    and keeping that colour; the sparse product adds each row's entries
-    from 0.0 in the order i-1, i+1, j-1, j+1 in every column, and the rest
-    is elementwise, so every floating-point operation happens in the same
-    order as in the whole-grid sweep of each problem alone.  A stack of
+    product with the k columns, then relaxes the colour in place.  A
+    colour's neighbours all have the other colour, so this is the same
+    Jacobi step per colour as relaxing the whole grid and keeping that
+    colour; the sparse product adds each row's entries from 0.0 in the
+    order i-1, i+1, j-1, j+1 in every column, and the rest is elementwise,
+    so every floating-point operation happens in the same order as in the
+    whole-grid sweep of each problem alone.  A stack of
     one is swept as plain vectors.  The relaxation factor is the optimal
     one for the periodic Laplacian, 2 / (1 + sin(pi h)); with ``smooth``
     the sweeps before the first residual check run at 1 (projected
-    Gauss-Seidel) instead.  Every 8 sweeps the natural residual is taken on
-    the whole stack, and each problem at most ``tol`` leaves it with its
-    field.  Returns ``(u, sweeps, residual, history, converged)`` for one
-    obstacle and the list of these, in stack order, for a stack.
+    Gauss-Seidel) instead.  Every 8 sweeps and after the last sweep of
+    ``max_iter`` the natural residual is taken on the whole stack, once
+    each, and each problem at most ``tol`` leaves it with its field; the
+    last check ends the others unconverged (with ``max_iter`` 0 it checks
+    the start).  Returns ``(u, sweeps, residual, history, converged)`` for
+    one obstacle and the list of these, in stack order, for a stack.
     """
     n = theta.shape[0]
     stack = hproj.reshape(n, n, -1)
@@ -208,18 +211,20 @@ def _psor_values(theta, hproj, tol, max_iter, init, smooth=False):
         sweeps += 1
         if sweeps % check_every == 0 or sweeps == max_iter:
             u, res = residual()
-            keep = [r > tol for r in res]
+            # the budget's last check ends every problem still in the stack
+            keep = [r > tol and sweeps < max_iter for r in res]
             if all(keep):
                 continue
             for j, i in enumerate(live):
                 if not keep[j]:
-                    results[i] = (u[..., j].copy(), sweeps, res[j], histories[i], True)
+                    results[i] = (u[..., j].copy(), sweeps, res[j], histories[i], res[j] <= tol)
             if not any(keep):
                 break
             live = [i for i, more in zip(live, keep) if more]
             x, hp, ct, stack = (a.compress(keep, axis=-1) for a in (x, hp, ct, stack))
             xs, hs, cs, hg, tg = views()
     else:
+        # max_iter == 0, a resumed solve with no sweep left: one check of the start
         u, res = residual()
         for j, i in enumerate(live):
             results[i] = (u[..., j].copy(), sweeps, res[j], histories[i], False)
@@ -323,8 +328,8 @@ def _apply_green(symbol, f):
     return np.fft.irfft2(np.fft.rfft2(f) * symbol, s=f.shape)
 
 
-def _boundary_start(r, free):
-    """The free-set correction from the contact-boundary (capacitance) system.
+def _boundary_solve(r, free):
+    """The free-set correction by the contact-boundary (capacitance) system.
 
     Solves (-C e)_F = r on the free sites F, e = 0 on the contact sites,
     through point sources on the contact boundary B, the contact sites with
@@ -341,19 +346,25 @@ def _boundary_start(r, free):
     mean-zero tau, where G_BB is positive definite.  Its operator is an
     einsum product with the gathered kb x kb block, and its preconditioner
     the sparse product with -C_BB, the B block of -C
-    (:func:`_curvature_block`): G_BB acts on the boundary like a single-layer potential, whose inverse
-    the local -C_BB approximates (it cuts the block's condition number on
-    the mean-zero subspace 2-3 fold, 68 -> 30 at kb = 284).  Neither calls
-    BLAS, so a solve gives the same bits at any thread count.  c is the
-    mean of what is left.  CG stops once its residual, the value of e on B,
-    is at most ``_CG_RTOL`` |r| in the units of the free-set residual it
-    feeds (a neighbour's weight 1 / (2 pi h^2)): an absolute stop, which a
+    (:func:`_curvature_block`): G_BB acts on the boundary like a
+    single-layer potential, whose inverse the local -C_BB approximates (it
+    cuts the block's condition number on the mean-zero subspace 2-3 fold,
+    68 -> 30 at kb = 284).  Neither calls BLAS, so a solve gives the same
+    bits at any thread count.  c is the mean of what is left.
+
+    CG's residual is the value eps of e on B, and the free-set residual it
+    leaves is, at each free site, the sum of eps over its contact
+    neighbours times their weight 1 / (2 pi h^2).  A site has four
+    neighbours: each free site sums at most four entries of eps and each
+    entry reaches at most four free sites, so that residual's norm is at
+    most 4 |eps| / (2 pi h^2).  CG therefore stops once |eps| is at most
+    ``_CG_RTOL`` |r| 2 pi h^2 / 4, which meets the free-set tolerance of
+    :func:`_free_set_solve` with no further CG: an absolute stop, which a
     nearly zero projected right-hand side cannot put out of reach.  The
     block takes kb^2 floats, 18.6 MB at kb = 1524 (a smooth obstacle at
-    n = 512), where its CG runs 91 iterations.  ``free`` flags the free
-    sites of the n x n grid.  Returns ``(e, iterations)`` with e on the free
-    sites, ``(None, 0)`` when B is empty, or ``(None, iterations)`` when CG
-    misses ``_CG_MAXITER``.
+    n = 512), where its CG runs 99 iterations.  ``free`` flags the free sites of the n x n grid.  Returns
+    ``(e, iterations)`` with e on the free sites, ``(None, 0)`` when B is
+    empty, or ``(None, iterations)`` when CG misses ``_CG_MAXITER``.
     """
     n = free.shape[0]
     boundary = np.flatnonzero(~free & neighbor_sum(free))
@@ -388,7 +399,8 @@ def _boundary_start(r, free):
     sigma0 = -r.sum() / kb
     g = -_apply_green(symbol, f).ravel().take(boundary)
     g -= sigma0 * block.sum(axis=1)
-    stop = _CG_RTOL * 2.0 * np.pi * np.sqrt(_dot(r, r)) / (n * n)
+    # 4: the most contact neighbours a free site sums eps over
+    stop = _CG_RTOL * 2.0 * np.pi * np.sqrt(_dot(r, r)) / (4 * n * n)
     tau, its, ok = conjugate_gradients(matvec, project(g.copy()), precondition, stop, _CG_MAXITER)
     if not ok:
         return None, its
@@ -400,32 +412,33 @@ def _boundary_start(r, free):
 def _free_set_solve(u, theta, h, free):
     """Solve theta + curvature(u) = 0 on the free sites, u fixed elsewhere.
 
-    Conjugate gradients on the free sites' correction, with the free-set
-    block of -C (:func:`_curvature_block`) as the operator, to the relative
-    residual ``_CG_RTOL``, with no preconditioner.  When the
-    free set holds at least ``_BOUNDARY_MIN_FREE`` of the sites, CG starts
-    from the correction of the contact-boundary system
-    (:func:`_boundary_start`), exact up to that system's own CG, and then
-    takes at most a few iterations; it starts from zero when that CG misses
-    its cap.  On a smaller free set, thin strips between contact regions,
-    the Dirichlet data already bound the condition number and plain CG from
-    zero needs fewer operations.  ``free`` flags the free sites of the
-    n x n grid.  Returns the new field and the number of CG iterations, the
-    boundary system's included.
+    The free sites' correction solves the free-set block of -C to the
+    residual ``_CG_RTOL`` |r| by one of two routes.  When the free set
+    holds at least ``_BOUNDARY_MIN_FREE`` of the sites, by its
+    contact-boundary system alone (:func:`_boundary_solve`), whose stop
+    meets that tolerance.  Otherwise, or when that system's CG misses its
+    cap, by plain CG from zero on the free-set block
+    (:func:`_curvature_block`), built only then: on thin strips between
+    contact regions the Dirichlet data already bound the condition number.
+    ``free`` flags the free sites of the n x n grid.  Returns the new
+    field and the number of CG iterations, a missed boundary system's
+    included.
     """
     n = u.shape[0]
     idx = np.flatnonzero(free)
-    op = _curvature_block(n, idx)
     r = curvature_values(u, h)
     r += theta
     r = r.ravel()[idx]
-    start, boundary_its = None, 0
+    e, its = None, 0
     if idx.size >= _BOUNDARY_MIN_FREE * n * n:
-        start, boundary_its = _boundary_start(r, free)
-    e, its, _ = conjugate_gradients(op.dot, r, None, _CG_RTOL * np.sqrt(_dot(r, r)), _CG_MAXITER, start)
+        e, its = _boundary_solve(r, free)
+    if e is None:
+        op = _curvature_block(n, idx)
+        e, more, _ = conjugate_gradients(op.dot, r, None, _CG_RTOL * np.sqrt(_dot(r, r)), _CG_MAXITER)
+        its += more
     out = u.copy()
     out.ravel()[idx] += e
-    return out, boundary_its + its
+    return out, its
 
 
 def _active_set_finish(u, theta, hproj, tol, history):
@@ -492,8 +505,9 @@ def psor_envelopes(
     is left of ``max_iter`` sweeps.  Each report's ``iterations`` counts
     the sweeps on this grid, ``coarse_sweeps`` those on the coarse levels,
     which have their own budget and add no report, and ``cg_iterations``
-    the CG iterations of the free-set solves and of the boundary systems
-    that start them.  The reports are built in input order.
+    the CG iterations of the free-set solves, one system each (a
+    boundary system that misses its cap adds its iterations to those of
+    the plain CG after it).  The reports are built in input order.
 
     An empty list of obstacles gives an empty list of solutions.  Raises
     :class:`ValueError` for an obstacle or mask off theta's grid,

@@ -93,7 +93,8 @@ def psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init):
     2 / (1 + sin(pi h)) that ``_psor_values`` always uses).
 
     The natural residual ``max |min(hproj - u, theta + curvature(u))|`` is
-    checked every 8 sweeps and at the last one.
+    checked every 8 sweeps and at the last one, once each; with no sweep
+    to run, once at the start.
     """
     n = theta.shape[0]
     h = 1.0 / n
@@ -125,8 +126,9 @@ def psor_sweeps_reference(theta, hproj, tol, max_iter, omega, init):
             history.append(res)
             if res <= tol:
                 return u, sweeps, res, history, True
-    res = natural_residual(u)
-    history.append(res)
+    if not sweeps:
+        res = natural_residual(u)
+        history.append(res)
     return u, sweeps, res, history, False
 
 

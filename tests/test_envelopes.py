@@ -30,6 +30,7 @@ from maenv.obstacle import (
     lower_bound_slack,
     orthogonality_defect,
 )
+from maenv.radial import constrained_convex_envelope
 
 from oracles import active_set_envelope_1d, psor_sweeps_reference
 
@@ -132,6 +133,19 @@ class TestPsorEnvelope:
         assert exc.value.iterations == 50
         assert exc.value.residual > 0
 
+    def test_exhausted_budget_records_its_last_check_once(self):
+        # the sweeps resumed after the active-set steps run out at sweep 50,
+        # a residual check of their own; the history ends with it once
+        grid = TorusGrid(32)
+        x, _ = grid.coords()
+        h = GridField(grid, np.minimum(0.0, 0.25 - np.cos(2 * np.pi * x) ** 2))
+        with pytest.raises(NonConvergence) as exc:
+            psor_envelope(theta_cosine(grid), h, tol=1e-14, max_iter=50)
+        report = exc.value.best.report
+        assert report.iterations == 50
+        assert report.history[-1] == report.residual
+        assert report.history.count(report.residual) == 1
+
     def test_empty_constraint_mask_rejected(self, grid, theta_one):
         with pytest.raises(EmptySupport):
             psor_envelope(
@@ -199,7 +213,16 @@ class TestPsorSweepMatchesReference:
             cosine_theta(n), step_obstacle(n), tol=1e-14, max_iter=29
         )
         assert not ok and sweeps == 29
-        assert len(history) == 29 // 8 + 2
+        # one check every 8 sweeps and one at the 29th, the last
+        assert len(history) == 29 // 8 + 1
+
+    def test_no_sweep_budget_checks_the_start_once(self):
+        n = 64
+        _, sweeps, res, history, ok = self.assert_identical(
+            cosine_theta(n), step_obstacle(n), tol=1e-14, max_iter=0
+        )
+        assert not ok and sweeps == 0
+        assert history == [res]
 
 
 def test_cached_colour_split_is_read_only():
@@ -305,8 +328,8 @@ class TestActiveSetFinishMatchesPsor:
         # the sweeps stopped at the first residual check (one history entry
         # per 8 sweeps) below the handover residual, so PSOR never resumed;
         # every active-set step after them appended its residual, and CG ran
-        # only in such steps (a step whose boundary start already passes
-        # both CG stops spends none)
+        # only in such steps (a step whose boundary system's right-hand
+        # side already passes its stop spends none)
         assert report.method == "psor"
         assert report.iterations % 8 == 0
         checks = report.iterations // 8
@@ -329,7 +352,7 @@ class TestActiveSetFinishMatchesPsor:
 
 
 def boundary_route_solves(theta, obstacles, monkeypatch):
-    """The (u, free) of every free-set solve of psor_envelopes that starts from its boundary system."""
+    """The (u, free) of every free-set solve of psor_envelopes that takes the boundary route."""
     calls = []
     solve = obstacle._free_set_solve
 
@@ -355,31 +378,30 @@ def norm(v):
 
 
 class TestBoundaryStart:
-    """Free-set solves started from the contact-boundary system against a direct solve."""
+    """Free-set solves by the contact-boundary system against a direct solve."""
 
     @staticmethod
     def solve_both(monkeypatch, u, theta, free):
-        """The solve from the boundary start and by spsolve; checks the route, agreement and residuals."""
+        """The solve by the boundary system and by spsolve; checks the route, agreement and residuals."""
         n = u.shape[0]
         h = 1.0 / n
         # with u = 0 on the free sites the solve's correction is the returned field there
         u = np.where(free, 0.0, u)
         routes = []
-        boundary_start = obstacle._boundary_start
+        boundary_solve = obstacle._boundary_solve
 
         def recording(r, f):
-            e, its = boundary_start(r, f)
+            e, its = boundary_solve(r, f)
             routes.append((e is not None, its))
             return e, its
 
-        monkeypatch.setattr(obstacle, "_boundary_start", recording)
+        monkeypatch.setattr(obstacle, "_boundary_solve", recording)
         got, its = obstacle._free_set_solve(u, theta, h, free)
-        monkeypatch.setattr(obstacle, "_boundary_start", boundary_start)
+        monkeypatch.setattr(obstacle, "_boundary_solve", boundary_solve)
         [(ran, boundary_its)] = routes
         assert ran
-        # the boundary start is the solution up to the last digits: the
-        # free-set CG after it takes at most a few iterations
-        assert its - boundary_its <= 3
+        # the boundary system is the whole solve: no free-set CG follows it
+        assert its == boundary_its
         idx = np.flatnonzero(free)
         op = _newton._curvature_operator(n)[idx][:, idx]
         r = (theta + curvature_values(u, h)).ravel()[idx]
@@ -423,7 +445,7 @@ class TestBoundaryStart:
         self.solve_both(monkeypatch, h, theta_cosine(grid).density.values, ~contact)
 
     # at n = 128 seed 0 draws a contact set with a 501-site boundary, above
-    # the 400 sites the boundary start was once capped at
+    # the 400 sites the boundary system was once capped at
     @pytest.mark.parametrize("n", [24, 32, 64, 128])
     def test_orthogonality_smooth_draws(self, monkeypatch, n):
         grid = TorusGrid(n)
@@ -452,14 +474,14 @@ class TestBoundaryStart:
         obstacles = orthogonality_draws(grid, 64)
         want = psor_envelopes(theta, obstacles)
         missed = []
-        boundary_start = obstacle._boundary_start
+        boundary_start = obstacle._boundary_solve
 
         def missing(r, f):
             _, its = boundary_start(r, f)
             missed.append(its)
             return None, its
 
-        monkeypatch.setattr(obstacle, "_boundary_start", missing)
+        monkeypatch.setattr(obstacle, "_boundary_solve", missing)
         got = psor_envelopes(theta, obstacles)
         assert missed
         for sol, ref in zip(got, want):
@@ -756,6 +778,61 @@ class TestEnvelopeWithPartialConstraint:
         wider = envelope_mu(theta_one, h, mu, tol=1e-10)
         plain = psor_envelope(theta_one, h, tol=1e-10)
         assert (wider.u.values - plain.u.values).min() >= -1e-12
+
+
+def exact_x_only_envelope(obstacle, amplitude, n, samples=2**14):
+    """P(h) at x = i/n for theta = 1 + amplitude cos 2 pi x and h = obstacle(x).
+
+    With theta and h depending on x only, theta + curvature(u) >= 0 reads
+    u'' >= -2 pi theta, so P(h) = conv(h + Theta) - Theta with
+    Theta = pi x^2 - amplitude cos(2 pi x) / (2 pi), Theta'' = 2 pi theta.
+    A period's shift adds an affine function to h + Theta, so the convex
+    minorant of three periods is exact on the middle one.  It is the radial
+    hull's, of the samples plus L x: L lifts every slope above 0, so the
+    hull's slope-0 clip never acts, and L x comes off again.
+    """
+    xs = np.arange(-samples, 2 * samples) / samples
+
+    def big_theta(x):
+        return np.pi * x * x - amplitude * np.cos(2 * np.pi * x) / (2 * np.pi)
+
+    lift = 10 * np.pi
+    hull = constrained_convex_envelope(xs, obstacle(xs) + big_theta(xs) + lift * xs, s_max=None)
+    assert hull.vx[0] == xs[0]  # no slope was clipped
+    x = np.arange(n) / n
+    return hull(x) - lift * x - big_theta(x)
+
+
+def zero_obstacle(x):
+    return np.zeros_like(x)
+
+
+def two_mode_obstacle(x):
+    return 0.3 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x)
+
+
+class TestContinuumEnvelope:
+    """psor_envelope against the exact envelope of x-only data, an accuracy ruler.
+
+    Bounds are about twice the sup errors at n = 128 (4.40e-5, 1.66e-4 and
+    1.47e-4); from n = 32 to 128 they fall 18.1, 9.1 and 28.1 fold, and at
+    least 6 fold is required.
+    """
+
+    @pytest.mark.parametrize(
+        "obstacle, amplitude, bound",
+        [(zero_obstacle, 2.0, 9e-5), (two_mode_obstacle, 0.0, 3.5e-4), (two_mode_obstacle, 2.0, 3e-4)],
+        ids=["V_theta", "two_modes_a0", "two_modes_a2"],
+    )
+    def test_sup_error_and_its_decay(self, obstacle, amplitude, bound):
+        errors = []
+        for n in (32, 128):
+            grid = TorusGrid(n)
+            x, _ = grid.coords()
+            u = psor_envelope(theta_cosine(grid, amplitude=amplitude), GridField(grid, obstacle(x))).u.values
+            errors.append(float(np.abs(u - exact_x_only_envelope(obstacle, amplitude, n)[:, None]).max()))
+        assert errors[1] <= bound
+        assert errors[0] >= 6 * errors[1]
 
 
 class TestPenalizedScheme:

@@ -447,6 +447,58 @@ def test_cached_newton_operators_are_read_only():
             arr += 0
 
 
+class TestConjugateGradients:
+    """``conjugate_gradients`` on a free-set block of -C, the system the obstacle solver hands it."""
+
+    @staticmethod
+    def free_set_system(n=32, share=0.6, seed=3):
+        rng = np.random.default_rng(seed)
+        idx = np.flatnonzero(rng.random(n * n) < share)
+        return maenv._newton._curvature_block(n, idx), rng.standard_normal(idx.size)
+
+    @staticmethod
+    def norm(v):
+        return float(np.sqrt(np.sum(v * v)))
+
+    def test_solves_to_its_absolute_stop(self):
+        op, b = self.free_set_system()
+        stop = 1e-10 * self.norm(b)
+        x, its, ok = maenv._newton.conjugate_gradients(op.dot, b, None, stop, 500)
+        assert ok and its > 0
+        assert self.norm(b - op @ x) <= 1.01 * stop
+        assert np.abs(x - spla.spsolve(op.tocsc(), b)).max() <= 1e-8 * np.abs(x).max()
+        # it stops at the first iteration that meets the stop, not later
+        _, fewer, missed = maenv._newton.conjugate_gradients(op.dot, b, None, stop, its - 1)
+        assert (fewer, missed) == (its - 1, False)
+
+    def test_right_hand_side_within_the_stop_takes_no_iteration(self):
+        _, b = self.free_set_system()
+
+        def untouched(v):
+            raise AssertionError("no product expected")
+
+        x, its, ok = maenv._newton.conjugate_gradients(untouched, b, None, self.norm(b), 500)
+        assert (its, ok) == (0, True)
+        assert np.array_equal(x, np.zeros_like(b))
+
+    def test_cap_returns_the_last_iterate_unconverged(self):
+        op, b = self.free_set_system()
+        x, its, ok = maenv._newton.conjugate_gradients(op.dot, b, None, 1e-14 * self.norm(b), 3)
+        assert (its, ok) == (3, False)
+        # three CG steps lower the energy norm of the error below that of 0
+        exact = spla.spsolve(op.tocsc(), b)
+        error = x - exact
+        assert error @ (op @ error) < exact @ (op @ exact)
+
+    def test_no_preconditioner_is_the_identity_bit_for_bit(self):
+        op, b = self.free_set_system()
+        stop = 1e-13 * self.norm(b)
+        plain = maenv._newton.conjugate_gradients(op.dot, b, None, stop, 500)
+        copied = maenv._newton.conjugate_gradients(op.dot, b, lambda r: r.copy(), stop, 500)
+        assert plain[1:] == copied[1:]
+        assert np.array_equal(plain[0], copied[0])
+
+
 _SCHEDULE_DIGEST = """
 import hashlib
 import numpy as np
@@ -463,22 +515,22 @@ for k in range(12):
     phi, _ = penalized_step(theta, v, mu, 2.0**k, init=phi)
     digest.update(phi.values.tobytes())
 
-# an envelope at n = 64 whose free-set solve starts from its contact-boundary
+# an envelope at n = 64 whose free-set solve takes its contact-boundary
 # system, kb = 288: the sizes of that block where a dense BLAS or LAPACK
 # solve gives different bits at one and two threads
 from maenv import obstacle, psor_envelope, random_smooth_field, theta_cosine
 
-boundary_start, sizes = obstacle._boundary_start, []
+boundary_solve, sizes = obstacle._boundary_solve, []
 
 
 def recording(r, free):
-    e, its = boundary_start(r, free)
+    e, its = boundary_solve(r, free)
     if e is not None:
         sizes.append(int((~free & obstacle.neighbor_sum(free)).sum()))
     return e, its
 
 
-obstacle._boundary_start = recording
+obstacle._boundary_solve = recording
 grid = TorusGrid(64)
 h = random_smooth_field(grid, np.random.default_rng(0), amplitude=0.3)
 digest.update(psor_envelope(theta_cosine(grid), h).u.values.tobytes())
